@@ -79,6 +79,31 @@ func benchAlgorithm(b *testing.B, name string) {
 func BenchmarkLocalizeBNCLGrid(b *testing.B)     { benchAlgorithm(b, "bncl-grid") }
 func BenchmarkLocalizeBNCLParticle(b *testing.B) { benchAlgorithm(b, "bncl-particle") }
 
+// BenchmarkLocalizeCanonical is the paper's canonical solve — the default
+// 150-node scenario under bncl-grid with every pre-knowledge term — on one
+// worker, so a CPU profile of it shows the round engine's own split without
+// scheduler noise:
+//
+//	go test -run '^$' -bench LocalizeCanonical -cpuprofile cpu.out .
+//	go tool pprof -top cpu.out
+func BenchmarkLocalizeCanonical(b *testing.B) {
+	p, err := wsnloc.Scenario{Seed: 1}.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	alg, err := wsnloc.NewAlgorithm("bncl-grid", wsnloc.AlgOpts{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wsnloc.Localize(p, alg, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchBNCLGridTraced measures the BNCL solve with a tracer attached, so the
 // no-op case can be compared against BenchmarkLocalizeBNCLGrid: the
 // observability layer must stay within noise (~2%) when disabled.
@@ -107,6 +132,6 @@ func BenchmarkLocalizeBNCLGridMemTracer(b *testing.B) {
 	b.Cleanup(func() { mem.Reset() })
 	benchBNCLGridTraced(b, mem)
 }
-func BenchmarkLocalizeDVHop(b *testing.B)        { benchAlgorithm(b, "dv-hop") }
-func BenchmarkLocalizeLSMultilat(b *testing.B)   { benchAlgorithm(b, "ls-multilat") }
-func BenchmarkLocalizeMDSMAP(b *testing.B)       { benchAlgorithm(b, "mds-map") }
+func BenchmarkLocalizeDVHop(b *testing.B)      { benchAlgorithm(b, "dv-hop") }
+func BenchmarkLocalizeLSMultilat(b *testing.B) { benchAlgorithm(b, "ls-multilat") }
+func BenchmarkLocalizeMDSMAP(b *testing.B)     { benchAlgorithm(b, "mds-map") }

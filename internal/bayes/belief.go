@@ -171,12 +171,63 @@ func (b *Belief) MulFunc(f func(mathx.Vec2) float64) {
 			// rather than grid-sized once a prior has hard zeros.
 			continue
 		}
-		v := f(b.Grid.CenterIdx(idx))
-		if v < 0 || math.IsNaN(v) {
-			v = 0
-		}
-		b.W[idx] = w * v
+		b.W[idx] = w * factorAt(f, b.Grid.CenterIdx(idx))
 	}
+}
+
+// MulFuncWithin is MulFunc for a factor that is exactly 1 at every cell
+// center farther than reach from c along x or along y: f is evaluated only
+// on the cells of the axis-aligned window [c−reach, c+reach]², rounded
+// outward to whole cells, so every skipped cell center lies at least one
+// cell width beyond reach. Skipping is exact — w·1 == w — so the result is
+// bit-identical to MulFunc(f) while the cost follows the window, not the
+// grid. A non-finite c or reach falls back to MulFunc, which keeps the
+// product exact for every input.
+func (b *Belief) MulFuncWithin(c mathx.Vec2, reach float64, f func(mathx.Vec2) float64) {
+	g := b.Grid
+	i0, i1, okX := windowSpan(c.X-reach, c.X+reach, g.Origin.X, g.CellW, g.NX)
+	j0, j1, okY := windowSpan(c.Y-reach, c.Y+reach, g.Origin.Y, g.CellH, g.NY)
+	if !okX || !okY {
+		b.MulFunc(f)
+		return
+	}
+	for j := j0; j <= j1; j++ {
+		row := b.W[j*g.NX : (j+1)*g.NX]
+		for i := i0; i <= i1; i++ {
+			if w := row[i]; w != 0 {
+				row[i] = w * factorAt(f, g.Center(i, j))
+			}
+		}
+	}
+}
+
+// windowSpan maps the coordinate interval [lo, hi] onto the inclusive range
+// of cell indices (origin o, width w, n cells) whose centers may fall in it,
+// rounded outward and clamped to the grid; an empty range (the window misses
+// the grid) comes back with i0 > i1. ok is false for a non-finite interval.
+func windowSpan(lo, hi, o, w float64, n int) (i0, i1 int, ok bool) {
+	a := math.Floor((lo-o)/w - 0.5)
+	z := math.Ceil((hi-o)/w - 0.5)
+	if math.IsNaN(a) || math.IsNaN(z) || math.IsInf(a, 0) || math.IsInf(z, 0) {
+		return 0, 0, false
+	}
+	// Clamp in float space: converting an out-of-range float to int is
+	// implementation-defined.
+	a = math.Max(a, 0)
+	z = math.Min(z, float64(n-1))
+	if a > z {
+		return 1, 0, true
+	}
+	return int(a), int(z), true
+}
+
+// factorAt evaluates a factor at p, mapping negative and NaN values to 0.
+func factorAt(f func(mathx.Vec2) float64, p mathx.Vec2) float64 {
+	v := f(p)
+	if v < 0 || math.IsNaN(v) {
+		return 0
+	}
+	return v
 }
 
 // Mean returns the probability-weighted mean position (the MMSE estimate).
@@ -303,22 +354,6 @@ func (b *Belief) AppendSupport(dst []int, epsilon float64) []int {
 		}
 	}
 	return dst
-}
-
-// SupportSize counts the support cells without materializing them (e.g. for
-// message-size accounting).
-func (b *Belief) SupportSize(epsilon float64) int {
-	thr, ok := b.supportThreshold(epsilon)
-	if !ok {
-		return 0
-	}
-	c := 0
-	for _, w := range b.W {
-		if w > thr {
-			c++
-		}
-	}
-	return c
 }
 
 func (b *Belief) supportThreshold(epsilon float64) (float64, bool) {

@@ -59,12 +59,11 @@ func ParseConvPath(s string) (ConvPath, error) {
 // Valid reports whether p is one of the three defined paths.
 func (p ConvPath) Valid() bool { return p >= ConvAuto && p <= ConvFFT }
 
-// ConvScratch carries one caller's reusable convolution buffers: the support
-// scan of the sparse path and the complex workspace of the FFT path. The zero
-// value is ready to use; a scratch must not be shared between goroutines.
+// ConvScratch carries one caller's reusable convolution buffers: the complex
+// workspace of the FFT path. The zero value is ready to use; a scratch must
+// not be shared between goroutines.
 type ConvScratch struct {
-	support []int
-	buf     []complex128
+	buf []complex128
 }
 
 // spectrumCache lazily holds a kernel's padded 2-D spectrum. Build-once
@@ -184,23 +183,19 @@ func (k *RadialKernel) ChoosePath(supportSize int) ConvPath {
 }
 
 // ConvolveWith computes k ⊗ src into dst on the requested path, dispatching
-// ConvAuto through ChoosePath, and returns the path actually used. sc may be
-// nil; passing one makes steady-state calls allocation-free on both paths.
-func (k *RadialKernel) ConvolveWith(dst, src *Belief, path ConvPath, sc *ConvScratch) ConvPath {
+// ConvAuto through ChoosePath, and returns the path actually used. support
+// must be src.Support(SupportEps): a BP sender scans its belief once and
+// ships the result, so every receiver dispatches and scatters from the same
+// slice instead of rescanning the grid. sc may be nil; passing one makes
+// steady-state calls allocation-free on both paths.
+func (k *RadialKernel) ConvolveWith(dst, src *Belief, support []int, path ConvPath, sc *ConvScratch) ConvPath {
 	if path == ConvAuto {
-		path = k.ChoosePath(src.SupportSize(SupportEps))
+		path = k.ChoosePath(len(support))
 	}
 	if path == ConvFFT {
 		k.ConvolveFFTInto(dst, src, sc)
 		return ConvFFT
 	}
-	var support []int
-	if sc != nil {
-		support = sc.support
-	}
-	support = k.ConvolveInto(dst, src, support)
-	if sc != nil {
-		sc.support = support
-	}
+	k.convolveSupport(dst, src, support)
 	return ConvSparse
 }

@@ -167,18 +167,18 @@ func TestConvolveWithDispatch(t *testing.T) {
 	dst := &Belief{Grid: g, W: make([]float64, g.Cells())}
 
 	diffuse := NewUniform(g)
-	if used := k.ConvolveWith(dst, diffuse, ConvAuto, sc); used != ConvFFT {
+	if used := k.ConvolveWith(dst, diffuse, diffuse.Support(SupportEps), ConvAuto, sc); used != ConvFFT {
 		t.Errorf("diffuse source dispatched to %v, want fft", used)
 	}
 	conc := NewDelta(g, mathx.V2(50, 50))
-	if used := k.ConvolveWith(dst, conc, ConvAuto, sc); used != ConvSparse {
+	if used := k.ConvolveWith(dst, conc, conc.Support(SupportEps), ConvAuto, sc); used != ConvSparse {
 		t.Errorf("delta source dispatched to %v, want sparse", used)
 	}
 	// Forced paths are honored regardless of the cost model.
-	if used := k.ConvolveWith(dst, diffuse, ConvSparse, sc); used != ConvSparse {
+	if used := k.ConvolveWith(dst, diffuse, diffuse.Support(SupportEps), ConvSparse, sc); used != ConvSparse {
 		t.Errorf("forced sparse ran %v", used)
 	}
-	if used := k.ConvolveWith(dst, conc, ConvFFT, sc); used != ConvFFT {
+	if used := k.ConvolveWith(dst, conc, conc.Support(SupportEps), ConvFFT, sc); used != ConvFFT {
 		t.Errorf("forced fft ran %v", used)
 	}
 }
@@ -191,8 +191,9 @@ func TestConvolveWithPathsAgree(t *testing.T) {
 	src := randomBelief(g, rng.New(5))
 	sp := &Belief{Grid: g, W: make([]float64, g.Cells())}
 	ff := &Belief{Grid: g, W: make([]float64, g.Cells())}
-	k.ConvolveWith(sp, src, ConvSparse, nil)
-	k.ConvolveWith(ff, src, ConvFFT, nil)
+	support := src.Support(SupportEps)
+	k.ConvolveWith(sp, src, support, ConvSparse, nil)
+	k.ConvolveWith(ff, src, support, ConvFFT, nil)
 	sp.Normalize()
 	ff.Normalize()
 	if d := sp.L1Diff(ff); d > 1e-6 {

@@ -76,9 +76,6 @@ func TestAppendSupportMatchesSupport(t *testing.T) {
 				t.Fatalf("%s: AppendSupport[%d] = %d, want %d", name, i, got[i], want[i])
 			}
 		}
-		if n := b.SupportSize(1e-3); n != len(want) {
-			t.Errorf("%s: SupportSize = %d, want %d", name, n, len(want))
-		}
 	}
 }
 

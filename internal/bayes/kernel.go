@@ -162,13 +162,16 @@ func (k *RadialKernel) Convolve(src *Belief) *Belief {
 // the kernel's grid, must not alias src, and both weight buffers must be
 // non-empty.
 func (k *RadialKernel) ConvolveInto(dst, src *Belief, support []int) []int {
-	k.checkPair(dst, src)
-	for i := range dst.W {
-		dst.W[i] = 0
-	}
 	support = src.AppendSupport(support[:0], SupportEps)
-	k.scatter(dst, src, support)
+	k.convolveSupport(dst, src, support)
 	return support
+}
+
+// convolveSupport is the sparse path over a precomputed source support.
+func (k *RadialKernel) convolveSupport(dst, src *Belief, support []int) {
+	k.checkPair(dst, src)
+	clear(dst.W)
+	k.scatter(dst, src, support)
 }
 
 // checkPair validates the grid/buffer invariants shared by both paths.

@@ -420,7 +420,11 @@ const digestBytes = 7
 
 // beliefMsg is the per-round broadcast of a node's posterior summary.
 type beliefMsg struct {
-	grid     *bayes.Belief         // GridMode
+	grid *bayes.Belief // GridMode
+	// support is grid.Support(bayes.SupportEps), scanned once by the sender
+	// and shared read-only by every receiver's path dispatch and sparse
+	// scatter (GridMode).
+	support  []int
 	particle *bayes.ParticleBelief // ParticleMode
 	mean     mathx.Vec2
 	spread   float64
@@ -431,10 +435,7 @@ type beliefMsg struct {
 // support cells at 3 bytes each, particle beliefs 5 bytes per particle, plus
 // the digest list and a 4-byte header.
 func (m *beliefMsg) bytesOf() int {
-	b := 4 + digestBytes*len(m.digests)
-	if m.grid != nil {
-		b += 3 * m.grid.SupportSize(bayes.SupportEps)
-	}
+	b := 4 + digestBytes*len(m.digests) + 3*len(m.support)
 	if m.particle != nil {
 		b += 5 * m.particle.M()
 	}

@@ -29,6 +29,12 @@ type gridNode struct {
 	// BP state.
 	prior  *bayes.Belief
 	belief *bayes.Belief
+	// support is the SupportEps support of supportOf, scanned once per new
+	// belief and shipped with every broadcast of it. Each scan allocates a
+	// fresh slice: receivers read it until their next recompute, so it is
+	// never recycled.
+	support   []int
+	supportOf *bayes.Belief
 	// nbr holds one link record per neighbor heard from; see nbrLink. This
 	// is the memory-lean layout: the steady-state footprint per neighbor is
 	// one compact floored message (support-sized) plus two scalars, not a
@@ -69,8 +75,9 @@ type nbrLink struct {
 	// pending is the latest received belief not yet convolved; it is
 	// released (nil) the moment it is folded into msg, so the sender's
 	// dense grid is only retained between its arrival and the next
-	// recompute.
-	pending *bayes.Belief
+	// recompute. pendingSupport is the support the sender shipped with it.
+	pending        *bayes.Belief
+	pendingSupport []int
 	// mean/spread echo the sender-computed summary shipped in the belief
 	// message — bit-identical to recomputing them from the belief, since
 	// the sender ran the same floats — and serve the two-hop digests.
@@ -305,7 +312,7 @@ func (n *gridNode) ingest(inbox []sim.Message) {
 			l = &nbrLink{}
 			n.nbr[m.From] = l
 		}
-		l.pending = bm.grid
+		l.pending, l.pendingSupport = bm.grid, bm.support
 		l.mean, l.spread = bm.mean, bm.spread
 		if n.e.cfg.Refine {
 			l.last = bm.grid
@@ -339,7 +346,8 @@ func (n *gridNode) recompute() *bayes.Belief {
 		if nb := l.pending; nb != nil {
 			// Fold the pending belief into the compact message cache and
 			// release the dense grid.
-			l.pending = nil
+			support := l.pendingSupport
+			l.pending, l.pendingSupport = nil, nil
 			if !l.noMeas {
 				meas, ok := n.measTo(j)
 				if !ok {
@@ -351,7 +359,7 @@ func (n *gridNode) recompute() *bayes.Belief {
 					if n.msgScratch == nil {
 						n.msgScratch = &bayes.Belief{Grid: n.e.grid, W: make([]float64, n.e.grid.Cells())}
 					}
-					n.convolve(n.e.kernels.forMeasurement(meas), n.msgScratch, nb)
+					n.convolve(n.e.kernels.forMeasurement(meas), n.msgScratch, nb, support)
 					// CompactFrom bakes in the same floor·max clamp
 					// MulFlooredMax applied, so the product below is
 					// bit-identical to multiplying the dense message.
@@ -370,12 +378,9 @@ func (n *gridNode) recompute() *bayes.Belief {
 	if n.e.cfg.PK.UseNegativeEvidence {
 		n.keyScratch = sortedKeys(n.keyScratch, n.twoHop)
 		for _, k := range n.keyScratch {
-			d := n.twoHop[k]
-			f := negEvidenceFactor(d.mean, clampSpread(d.spread), n.e.p.R, n.e.p.Prop.PRR)
-			if f == nil {
+			if !n.e.mulNegEvidence(b, n.twoHop[k]) {
 				continue
 			}
-			b.MulFunc(f)
 			if !b.Normalize() {
 				b.CopyFrom(n.prior)
 			}
@@ -398,15 +403,16 @@ func sortedKeys[V any](dst []int, m map[int]V) []int {
 }
 
 // convolve computes the BP message k ⊗ nb into msg on the configured
-// convolution path and records which path served it (plus wall time when a
-// tracer is consuming timings) in the node's convStats slot — written only by
-// this node's goroutine, per the env partitioning invariant.
-func (n *gridNode) convolve(k *bayes.RadialKernel, msg, nb *bayes.Belief) {
+// convolution path, from the support nb's sender shipped, and records which
+// path served it (plus wall time when a tracer is consuming timings) in the
+// node's convStats slot — written only by this node's goroutine, per the env
+// partitioning invariant.
+func (n *gridNode) convolve(k *bayes.RadialKernel, msg, nb *bayes.Belief, support []int) {
 	var t0 time.Time
 	if n.e.timeConv {
 		t0 = time.Now()
 	}
-	used := k.ConvolveWith(msg, nb, n.e.cfg.Conv, &n.conv)
+	used := k.ConvolveWith(msg, nb, support, n.e.cfg.Conv, &n.conv)
 	cs := &n.e.convStats[n.id]
 	if used == bayes.ConvFFT {
 		cs.fft++
@@ -427,11 +433,17 @@ func (n *gridNode) measTo(j int) (float64, bool) {
 }
 
 // broadcastBelief ships the current belief summary plus neighbor digests.
+// The belief's support is scanned on its first broadcast only; quiescent
+// re-broadcasts of an unchanged belief reuse it.
 func (n *gridNode) broadcastBelief(ctx *sim.Context) {
+	if n.supportOf != n.belief {
+		n.support, n.supportOf = n.belief.Support(bayes.SupportEps), n.belief
+	}
 	msg := &beliefMsg{
-		grid:   n.belief,
-		mean:   n.belief.Mean(),
-		spread: n.belief.Spread(),
+		grid:    n.belief,
+		support: n.support,
+		mean:    n.belief.Mean(),
+		spread:  n.belief.Spread(),
 	}
 	if n.e.cfg.PK.UseNegativeEvidence {
 		// Entry-level censoring: with the knob on, a digest identical to the

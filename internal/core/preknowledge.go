@@ -193,6 +193,22 @@ func negEvidenceFactor(meanK mathx.Vec2, spreadK, r float64, prr func(float64) f
 	}
 }
 
+// mulNegEvidence multiplies b (unnormalized) by the negative-evidence factor
+// of the two-hop digest d and reports whether the factor applied; a digest
+// too diffuse to carry information leaves b untouched. The factor's reach is
+// Prop.MaxRange(): PRR is exactly 0 from there on (the Propagation
+// contract), so beyond it the factor is exactly 1 and only the window around
+// d.mean is multiplied — bit-identical to the full-grid product, at a cost
+// that follows the window instead of the grid.
+func (e *env) mulNegEvidence(b *bayes.Belief, d digest) bool {
+	f := negEvidenceFactor(d.mean, clampSpread(d.spread), e.p.R, e.p.Prop.PRR)
+	if f == nil {
+		return false
+	}
+	b.MulFuncWithin(d.mean, e.p.Prop.MaxRange(), f)
+	return true
+}
+
 // clampSpread sanitizes a digest spread value.
 func clampSpread(s float64) float64 {
 	if math.IsNaN(s) || s < 0 {

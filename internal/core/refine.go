@@ -55,12 +55,9 @@ func (n *gridNode) refineEstimate(windowRadius float64, fineN int) (mathx.Vec2, 
 	}
 	if n.e.cfg.PK.UseNegativeEvidence {
 		for _, k := range sortedKeys(nil, n.twoHop) {
-			d := n.twoHop[k]
-			f := negEvidenceFactor(d.mean, clampSpread(d.spread), n.e.p.R, n.e.p.Prop.PRR)
-			if f == nil {
+			if !n.e.mulNegEvidence(post, n.twoHop[k]) {
 				continue
 			}
-			post.MulFunc(f)
 			if !post.Normalize() {
 				return center, n.belief.Spread(), true
 			}

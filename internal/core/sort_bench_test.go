@@ -8,8 +8,6 @@ import (
 )
 
 // Micro-benchmarks for the map-ordering helpers on the per-round hot path.
-// They replaced O(n²) insertion sorts; the insertion-sort variants are kept
-// here (bench-only) as the comparison baseline.
 
 func benchHopTable(n int) map[int]anchorHop {
 	table := make(map[int]anchorHop, n)
@@ -17,19 +15,6 @@ func benchHopTable(n int) map[int]anchorHop {
 		table[(i*7919)%2048] = anchorHop{pos: mathx.V2(float64(i), float64(n-i)), hops: (i * 13) % 9}
 	}
 	return table
-}
-
-func insertionSortedKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
 }
 
 func BenchmarkSortedKeys(b *testing.B) {
@@ -40,12 +25,6 @@ func BenchmarkSortedKeys(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				scratch = sortedKeys(scratch, table)
-			}
-		})
-		b.Run(benchName("insertion", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				insertionSortedKeys(table)
 			}
 		})
 	}

@@ -34,8 +34,10 @@ type Propagation interface {
 	// [0, 1]. It is the smooth curve behind Connected and doubles as the
 	// negative-evidence likelihood P(link | distance) in the Bayesian model.
 	PRR(d float64) float64
-	// MaxRange returns a distance beyond which PRR is (numerically) zero.
-	// The topology builder uses it to prune the candidate-pair search.
+	// MaxRange returns the distance from which PRR is exactly zero:
+	// PRR(d) == 0 for every d >= MaxRange(). The topology builder uses it to
+	// prune the candidate-pair search, and BNCL to window its
+	// negative-evidence factors, which are exactly 1 where PRR is 0.
 	MaxRange() float64
 }
 
@@ -55,10 +57,10 @@ func (u UnitDisk) Connected(a, b mathx.Vec2, _ *rng.Stream) bool {
 func (u UnitDisk) PRR(d float64) float64 {
 	edge := 0.02 * u.R
 	switch {
-	case d <= u.R-edge:
-		return 1
 	case d >= u.R+edge:
 		return 0
+	case d <= u.R-edge:
+		return 1
 	default:
 		return (u.R + edge - d) / (2 * edge)
 	}
@@ -90,10 +92,10 @@ func (q QuasiUDG) Connected(a, b mathx.Vec2, stream *rng.Stream) bool {
 // PRR implements Propagation.
 func (q QuasiUDG) PRR(d float64) float64 {
 	switch {
-	case d <= q.RMin:
-		return 1
 	case d >= q.RMax:
 		return 0
+	case d <= q.RMin:
+		return 1
 	default:
 		return (q.RMax - d) / (q.RMax - q.RMin)
 	}
@@ -131,19 +133,21 @@ func (l LogNormalShadow) Connected(a, b mathx.Vec2, stream *rng.Stream) bool {
 	return l.marginDB(d)+x >= 0
 }
 
-// PRR implements Propagation: P(margin + X ≥ 0) = Φ(margin/σ).
+// PRR implements Propagation: P(margin + X ≥ 0) = Φ(margin/σ), truncated to
+// 0 from MaxRange on — the ≈10⁻³ tail there is the probability of a link the
+// topology builder never forms.
 func (l LogNormalShadow) PRR(d float64) float64 {
-	if l.SigmaDB <= 0 {
-		if d <= l.R {
-			return 1
-		}
+	switch {
+	case d >= l.MaxRange():
 		return 0
+	case l.SigmaDB <= 0:
+		return 1
 	}
 	return mathx.NormalCDF(l.marginDB(d), 0, l.SigmaDB)
 }
 
-// MaxRange implements Propagation: the distance at which PRR falls below
-// 10⁻³ (about 3.1σ of margin).
+// MaxRange implements Propagation: the distance at which the untruncated
+// PRR falls to 10⁻³ (about 3.1σ of margin).
 func (l LogNormalShadow) MaxRange() float64 {
 	if l.SigmaDB <= 0 {
 		return l.R
@@ -196,10 +200,10 @@ func (m DOI) PRR(d float64) float64 {
 	k := math.Min(19*m.DOI, 0.4)
 	lo, hi := m.R*(1-k), m.R*(1+k)
 	switch {
-	case d <= lo:
-		return 1
 	case d >= hi:
 		return 0
+	case d <= lo:
+		return 1
 	default:
 		return (hi - d) / (hi - lo)
 	}

@@ -50,6 +50,30 @@ func TestPRRMonotoneNonIncreasing(t *testing.T) {
 	}
 }
 
+// TestPRRZeroFromMaxRange pins the MaxRange contract every model must keep:
+// PRR is exactly 0 at MaxRange and everywhere beyond it. BNCL's windowed
+// negative-evidence product is bit-identical to the full-grid one only
+// because of it.
+func TestPRRZeroFromMaxRange(t *testing.T) {
+	for _, r := range []float64{1, 7.3, 10, 15, 33.3, 100} {
+		for name, m := range map[string]Propagation{
+			"unitdisk":      UnitDisk{R: r},
+			"qudg":          QuasiUDG{RMin: 0.7 * r, RMax: 1.1 * r},
+			"shadow":        LogNormalShadow{R: r, Eta: 3, SigmaDB: 4},
+			"shadow-sigma0": LogNormalShadow{R: r, Eta: 3},
+			"doi":           DOI{R: r, DOI: 0.01},
+			"doi-capped":    DOI{R: r, DOI: 0.1},
+		} {
+			mr := m.MaxRange()
+			for _, d := range []float64{mr, math.Nextafter(mr, math.Inf(1)), 1.5 * mr, 10 * mr} {
+				if p := m.PRR(d); p != 0 {
+					t.Errorf("%s R=%v (MaxRange %v): PRR(%v) = %v, want exactly 0", name, r, mr, d, p)
+				}
+			}
+		}
+	}
+}
+
 func TestQuasiUDG(t *testing.T) {
 	q := QuasiUDG{RMin: 5, RMax: 15}
 	stream := rng.New(1)

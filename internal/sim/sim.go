@@ -52,12 +52,12 @@ func DefaultEnergy() EnergyModel {
 // Stats accumulates the traffic and energy a run consumed.
 type Stats struct {
 	Rounds        int
-	MessagesSent  int     // transmissions (one broadcast = one transmission)
-	MessagesRecvd int     // deliveries (one per surviving receiver)
-	BytesSent     int     // transmitted bytes
-	BytesRecvd    int     // delivered bytes
-	Dropped       int     // deliveries lost to packet loss
-	Delayed       int     // deliveries slipped by MAC/clock jitter
+	MessagesSent  int // transmissions (one broadcast = one transmission)
+	MessagesRecvd int // deliveries (one per surviving receiver)
+	BytesSent     int // transmitted bytes
+	BytesRecvd    int // delivered bytes
+	Dropped       int // deliveries lost to packet loss
+	Delayed       int // deliveries slipped by MAC/clock jitter
 	// MessagesCensored counts transmissions protocols suppressed via
 	// Context.Censored — broadcasts a node had ready but judged redundant
 	// (message censoring). They consume no traffic or energy; the counter
@@ -284,7 +284,9 @@ func (n *Network) collect() {
 // when it has more than one goroutine. The pool hands out node indices via an
 // atomic counter, so scheduling is load-balanced but the set of calls — and,
 // because all cross-node effects are buffered per node, the observable
-// outcome — is schedule-independent.
+// outcome — is schedule-independent. A panic in fn is re-raised on the
+// caller's goroutine once every worker has stopped, as the sequential engine
+// would raise it, so a caller's recover sees it instead of the process dying.
 func (n *Network) runNodes(fn func(i int)) {
 	if n.workers <= 1 {
 		for i := range n.nodes {
@@ -294,10 +296,21 @@ func (n *Network) runNodes(fn func(i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var panicked any // the first panic value raised by a worker
 	wg.Add(n.workers)
 	for w := 0; w < n.workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					mu.Lock()
+					if panicked == nil {
+						panicked = r
+					}
+					mu.Unlock()
+				}
+			}()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(n.nodes) {
@@ -308,6 +321,9 @@ func (n *Network) runNodes(fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 // deliver moves the outbox (and any jitter-delayed deliveries that come due)
