@@ -62,34 +62,20 @@ type SweepResult struct {
 
 // Solve submits a spec to POST /v1/solve and blocks for the result.
 func (c *Client) Solve(ctx context.Context, sp alg.Spec) (*SolveResult, error) {
-	body, err := json.Marshal(sp)
-	if err != nil {
-		return nil, fmt.Errorf("serve: encoding spec: %w", err)
-	}
-	raw, cached, err := c.post(ctx, "/v1/solve", body)
-	if err != nil {
+	out := &SolveResult{}
+	var err error
+	if out.Raw, out.Cached, err = c.post(ctx, "/v1/solve", sp, &out.SolveResponse); err != nil {
 		return nil, err
-	}
-	out := &SolveResult{Cached: cached, Raw: raw}
-	if err := json.Unmarshal(raw, &out.SolveResponse); err != nil {
-		return nil, fmt.Errorf("serve: decoding solve response: %w", err)
 	}
 	return out, nil
 }
 
 // Sweep submits a sweep spec to POST /v1/sweep and blocks for the summary.
 func (c *Client) Sweep(ctx context.Context, sw sweep.Spec) (*SweepResult, error) {
-	body, err := json.Marshal(sw)
-	if err != nil {
-		return nil, fmt.Errorf("serve: encoding sweep: %w", err)
-	}
-	raw, cached, err := c.post(ctx, "/v1/sweep", body)
-	if err != nil {
+	out := &SweepResult{}
+	var err error
+	if out.Raw, out.Cached, err = c.post(ctx, "/v1/sweep", sw, &out.SweepResponse); err != nil {
 		return nil, err
-	}
-	out := &SweepResult{Cached: cached, Raw: raw}
-	if err := json.Unmarshal(raw, &out.SweepResponse); err != nil {
-		return nil, fmt.Errorf("serve: decoding sweep response: %w", err)
 	}
 	return out, nil
 }
@@ -100,33 +86,32 @@ func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiErrorOf(resp, raw)
-	}
 	var st JobStatus
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return nil, fmt.Errorf("serve: decoding job status: %w", err)
+	if _, _, err := c.do(req, &st); err != nil {
+		return nil, err
 	}
 	return &st, nil
 }
 
-// post runs one POST round-trip, mapping the backpressure statuses to their
-// sentinels and returning the exact body bytes plus the memo verdict.
-func (c *Client) post(ctx context.Context, path string, body []byte) (raw []byte, cached bool, err error) {
+// post runs one POST round-trip of in, encoded as JSON, and decodes the
+// answer into out (see do).
+func (c *Client) post(ctx context.Context, path string, in, out interface{}) (raw []byte, cached bool, err error) {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return nil, false, fmt.Errorf("serve: encoding %s request: %w", path, err)
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, false, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	return c.do(req, out)
+}
+
+// do runs one round-trip, mapping the backpressure statuses to their
+// sentinels, decoding a 200 body into out, and returning the exact body
+// bytes plus the memo verdict.
+func (c *Client) do(req *http.Request, out interface{}) (raw []byte, cached bool, err error) {
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return nil, false, err
@@ -138,6 +123,9 @@ func (c *Client) post(ctx context.Context, path string, body []byte) (raw []byte
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, false, apiErrorOf(resp, raw)
+	}
+	if err := json.Unmarshal(raw, out); err != nil {
+		return nil, false, fmt.Errorf("serve: decoding %s response: %w", req.URL.Path, err)
 	}
 	// Both memo hits and coalesced responses were served without a fresh
 	// execution — the caller's signal that the daemon did no new work.

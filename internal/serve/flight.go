@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // In-flight request coalescing (singleflight). The response memo only
 // amortizes *sequential* duplicates: N clients posting the same spec at the
@@ -30,12 +27,7 @@ type flightCall struct {
 	// afterwards.
 	result []byte
 	err    error
-
-	followers atomic.Int64 // coalesced requests riding this call
 }
-
-// wait returns the call's outcome; valid only after done is closed.
-func (c *flightCall) outcome() ([]byte, error) { return c.result, c.err }
 
 // flightGroup deduplicates concurrent executions by content-hash key.
 type flightGroup struct {
@@ -49,13 +41,11 @@ func newFlightGroup() *flightGroup {
 
 // join returns the flight for key. leader reports whether the caller owns
 // the execution (it MUST eventually call complete, on every path, or
-// followers wait until their own contexts expire). A non-leader caller has
-// been counted as a follower already.
+// followers wait until their own contexts expire).
 func (g *flightGroup) join(key string) (c *flightCall, leader bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if c, ok := g.calls[key]; ok {
-		c.followers.Add(1)
 		return c, false
 	}
 	c = &flightCall{done: make(chan struct{})}

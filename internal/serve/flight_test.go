@@ -102,77 +102,96 @@ func waitCounter(t *testing.T, c *obs.Counter, want float64) {
 	}
 }
 
-// TestCoalescing32IdenticalSolves is the tentpole acceptance test: 32
-// concurrent identical solve requests share ONE execution — the exec pool's
-// completed-job counter moves by exactly one — and every response is
-// byte-identical, with exactly one "miss" and 31 coalesced/hit answers.
+// gateSweep is a sweep over test-gate cells: 2 seeds × 2 trials, so one
+// execution of it runs the gate algorithm 4 times.
+func gateSweep(seed int) []byte {
+	return []byte(fmt.Sprintf(
+		`{"scenarios":[{"N":30,"Field":50,"AnchorFrac":0.3,"Seed":%d}],"algorithms":["test-gate"],"seeds":[1,2],"trials":2}`, seed))
+}
+
+// TestCoalescing32IdenticalSolves is the tentpole acceptance test, run for
+// both endpoints: 32 concurrent identical requests share ONE execution and
+// every response is byte-identical, with exactly one "miss" and 31
+// coalesced answers. A solve execution is one exec-pool job and one gate
+// run; a sweep execution runs the gate once per cell trial (its pool job
+// count is not checked, since the cell fan-out submits scatter helpers).
 func TestCoalescing32IdenticalSolves(t *testing.T) {
-	registerGateAlg()
-	reg := obs.NewRegistry()
-	s, ts := testServer(t, Config{Pool: exec.Config{Workers: 2}, Registry: reg})
-	release := closeGate(t)
+	for _, tc := range []struct {
+		kind     string
+		body     []byte
+		gateRuns int64
+	}{
+		{"solve", gateSpec(7), 1},
+		{"sweep", gateSweep(7), 2 * 2},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			registerGateAlg()
+			reg := obs.NewRegistry()
+			s, ts := testServer(t, Config{Pool: exec.Config{Workers: 2}, Registry: reg})
+			release := closeGate(t)
 
-	runs0 := gateRuns.Load()
-	jobs0 := s.Pool().CompletedJobs()
+			runs0 := gateRuns.Load()
+			jobs0 := s.Pool().CompletedJobs()
 
-	const n = 32
-	spec := gateSpec(7)
-	var wg sync.WaitGroup
-	bodies := make([][]byte, n)
-	verdicts := make([]string, n)
-	statuses := make([]int, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(spec))
-			if err != nil {
-				t.Errorf("request %d: %v", i, err)
-				return
+			const n = 32
+			var wg sync.WaitGroup
+			bodies := make([][]byte, n)
+			verdicts := make([]string, n)
+			statuses := make([]int, n)
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					resp, err := http.Post(ts.URL+"/v1/"+tc.kind, "application/json", bytes.NewReader(tc.body))
+					if err != nil {
+						t.Errorf("request %d: %v", i, err)
+						return
+					}
+					statuses[i] = resp.StatusCode
+					verdicts[i] = resp.Header.Get("X-Wsnloc-Cache")
+					bodies[i] = readBody(t, resp)
+				}(i)
 			}
-			statuses[i] = resp.StatusCode
-			verdicts[i] = resp.Header.Get("X-Wsnloc-Cache")
-			bodies[i] = readBody(t, resp)
-		}(i)
-	}
 
-	// Every handler bumps the request counter before touching memo or
-	// flight, so counter == 32 with the gate still closed means all 32 are
-	// committed: one leader blocked in the run, 31 riding its flight (the
-	// memo cannot answer while the leader is still executing).
-	waitCounter(t, reg.Counter("wsnloc_serve_requests_total"), n)
-	release()
-	wg.Wait()
+			// With the gate closed the leader cannot finish, so the memo
+			// cannot answer: all 31 duplicates must join its flight.
+			waitCounter(t, reg.Counter("wsnloc_serve_coalesced_total"), n-1)
+			release()
+			wg.Wait()
 
-	if got := gateRuns.Load() - runs0; got != 1 {
-		t.Errorf("algorithm executions = %d, want exactly 1", got)
-	}
-	if got := s.Pool().CompletedJobs() - jobs0; got != 1 {
-		t.Errorf("exec pool completed jobs = %d, want exactly 1", got)
-	}
-	misses := 0
-	for i := 1; i < n; i++ {
-		if !bytes.Equal(bodies[i], bodies[0]) {
-			t.Fatalf("response %d differs from response 0:\n%s\nvs\n%s", i, bodies[i], bodies[0])
-		}
-	}
-	for i, v := range verdicts {
-		if statuses[i] != http.StatusOK {
-			t.Errorf("request %d: status = %d", i, statuses[i])
-		}
-		switch v {
-		case cacheMiss:
-			misses++
-		case cacheCoalesced, cacheHit:
-		default:
-			t.Errorf("request %d: unexpected cache verdict %q", i, v)
-		}
-	}
-	if misses != 1 {
-		t.Errorf("misses = %d, want exactly 1 (the leader)", misses)
-	}
-	if got := reg.Counter("wsnloc_serve_coalesced_total").Value(); got != n-1 {
-		t.Errorf("coalesced counter = %v, want %d", got, n-1)
+			if got := gateRuns.Load() - runs0; got != tc.gateRuns {
+				t.Errorf("algorithm executions = %d, want exactly %d", got, tc.gateRuns)
+			}
+			if tc.kind == "solve" {
+				if got := s.Pool().CompletedJobs() - jobs0; got != 1 {
+					t.Errorf("exec pool completed jobs = %d, want exactly 1", got)
+				}
+			}
+			misses := 0
+			for i := 1; i < n; i++ {
+				if !bytes.Equal(bodies[i], bodies[0]) {
+					t.Fatalf("response %d differs from response 0:\n%s\nvs\n%s", i, bodies[i], bodies[0])
+				}
+			}
+			for i, v := range verdicts {
+				if statuses[i] != http.StatusOK {
+					t.Errorf("request %d: status = %d", i, statuses[i])
+				}
+				switch v {
+				case cacheMiss:
+					misses++
+				case cacheCoalesced, cacheHit:
+				default:
+					t.Errorf("request %d: unexpected cache verdict %q", i, v)
+				}
+			}
+			if misses != 1 {
+				t.Errorf("misses = %d, want exactly 1 (the leader)", misses)
+			}
+			if got := reg.Counter("wsnloc_serve_coalesced_total").Value(); got != n-1 {
+				t.Errorf("coalesced counter = %v, want %d", got, n-1)
+			}
+		})
 	}
 }
 

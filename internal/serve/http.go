@@ -120,17 +120,21 @@ var gzipPool = sync.Pool{
 	},
 }
 
-// acceptsGzip reports whether the request negotiates gzip. Token scan over
-// Accept-Encoding; a q=0 opt-out ("gzip;q=0") is honored, finer q-value
-// ranking is not (gzip is our only alternative coding).
+// acceptsGzip reports whether the request negotiates gzip: a gzip coding in
+// Accept-Encoding whose q-value, if any, is above zero (RFC 9110: q=0,
+// q=0.0 and Q=0.000 all mean "not acceptable"). gzip is our only
+// alternative coding, so finer q-value ranking is not needed.
 func acceptsGzip(r *http.Request) bool {
 	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		coding, params, _ := strings.Cut(strings.TrimSpace(part), ";")
+		coding, params, _ := strings.Cut(part, ";")
 		if !strings.EqualFold(strings.TrimSpace(coding), "gzip") {
 			continue
 		}
-		if q := strings.TrimSpace(params); strings.HasPrefix(q, "q=0") && !strings.HasPrefix(q, "q=0.") {
-			return false
+		for _, param := range strings.Split(params, ";") {
+			if name, val, _ := strings.Cut(param, "="); strings.EqualFold(strings.TrimSpace(name), "q") {
+				q, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
+				return err != nil || q > 0
+			}
 		}
 		return true
 	}

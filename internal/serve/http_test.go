@@ -202,6 +202,9 @@ func TestAcceptsGzip(t *testing.T) {
 		{"gzip, deflate, br", true},
 		{"deflate, gzip;q=1.0", true},
 		{"gzip;q=0", false},
+		{"gzip;q=0.0", false},
+		{"gzip;q=0.000", false},
+		{"gzip; Q=0", false},
 		{"gzip;q=0.5", true},
 		{"identity", false},
 		{"br;q=1.0, gzip;q=0.8", true},

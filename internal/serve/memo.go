@@ -2,7 +2,11 @@ package serve
 
 import (
 	"container/list"
+	"fmt"
+	"path/filepath"
 	"sync"
+
+	"wsnloc/internal/castore"
 )
 
 // memo is a bounded most-recently-used response cache: canonical spec hash
@@ -76,4 +80,55 @@ func (m *memo) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.order.Len()
+}
+
+// diskMemoVersion is bumped whenever the response wire format changes in a
+// way that makes old cached bytes wrong to serve.
+const diskMemoVersion = 1
+
+// openDiskMemo opens the disk tier of one endpoint kind's response memo:
+// exact response bytes under <dir>/<kind>/<hh>/<hash>.resp, so a restart
+// keeps hot results warm. Empty dir disables the tier (a nil store).
+func openDiskMemo(dir, kind string) (*castore.Store, error) {
+	if dir == "" {
+		return nil, nil
+	}
+	st, err := castore.Open(filepath.Join(dir, kind), ".resp", diskMemoVersion)
+	if err != nil {
+		return nil, fmt.Errorf("serve: opening response memo: %w", err)
+	}
+	return st, nil
+}
+
+// Cache tiers reported in the X-Wsnloc-Cache-Tier header and the per-tier
+// hit counters.
+const (
+	tierMem  = "mem"
+	tierDisk = "disk"
+)
+
+// tieredMemo layers the in-memory LRU over the optional disk store: Get
+// checks memory first, falls back to disk (promoting hits into memory so
+// the next duplicate skips the file read), and Put writes through to both.
+type tieredMemo struct {
+	mem  *memo
+	disk *castore.Store
+}
+
+// Get returns the cached bytes and the tier that answered ("mem" | "disk").
+func (t *tieredMemo) Get(key string) ([]byte, string, bool) {
+	if v, ok := t.mem.Get(key); ok {
+		return v, tierMem, true
+	}
+	if v, ok := t.disk.Get(key); ok {
+		t.mem.Put(key, v)
+		return v, tierDisk, true
+	}
+	return nil, "", false
+}
+
+// Put stores the bytes in every tier.
+func (t *tieredMemo) Put(key string, val []byte) {
+	t.mem.Put(key, val)
+	t.disk.Put(key, val) // best-effort; a failed write is a cold restart, not an error
 }

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"wsnloc/internal/alg"
+	"wsnloc/internal/castore"
 	"wsnloc/internal/exec"
 	"wsnloc/internal/obs"
 	"wsnloc/internal/sweep"
@@ -248,7 +249,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	// The disk tier rides behind the LRU only while memoization is on; a
 	// negative MemoEntries disables the response memo entirely.
-	var solveDisk, sweepDisk *diskMemo
+	var solveDisk, sweepDisk *castore.Store
 	if cfg.MemoEntries > 0 {
 		var err error
 		if solveDisk, err = openDiskMemo(cfg.MemoDir, "solve"); err != nil {
@@ -342,9 +343,19 @@ func (s *Server) writeReject(w http.ResponseWriter, err error) {
 	}
 }
 
-// readBody reads the size-capped request body. A body over the limit
-// reports (nil, false) after answering 413.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+// readPost runs the checks both POST endpoints share — method, drain, body
+// size — and returns the body. A rejected request reports (nil, false)
+// after its answer (405, 503, 413 or 400) is written.
+func (s *Server) readPost(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	s.m.request()
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "use POST")
+		return nil, false
+	}
+	if s.closed.Load() {
+		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		return nil, false
+	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
@@ -564,6 +575,182 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 	writeBytes(w, r, s.algBytes)
 }
 
+// --- the request pipeline ----------------------------------------------
+
+// serveResult is the one request pipeline behind POST /v1/solve and POST
+// /v1/sweep, entered once the handler has decoded and hashed the body:
+// 304 → memo → flight join → leadership double-check → submit → watch →
+// wait → write. run executes the request on a pool worker and returns its
+// response document; attrs are extra serve.request span attributes. A
+// request that is not cacheable skips the 304, the memo, the flight and
+// the ETag, and its execution stays bound to the client's connection
+// unless it is async.
+func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, kind, hash string, cacheable bool,
+	attrs map[string]interface{}, run func(ctx context.Context, tr obs.Tracer) ([]byte, error)) {
+	async := r.URL.Query().Get("async") == "1"
+	memo := s.solveMemo
+	if kind == "sweep" {
+		memo = s.sweepMemo
+	}
+	key := kind + "/" + hash
+	var call *flightCall
+	if cacheable {
+		// Conditional fast path: a client that already holds these bytes
+		// (the ETag is the content address) gets 304 before any cache or
+		// pool work.
+		if !async && s.answer304(w, r, hash) {
+			return
+		}
+		// Cross-request memo: an identical spec already answered returns
+		// the exact bytes it got, instantly, at any queue depth.
+		cached, tier, ok := memo.Get(hash)
+		if !ok {
+			s.m.memoMiss(memo.disk != nil)
+			// In-flight coalescing: a concurrent identical request is
+			// already executing — ride it instead of burning a second run.
+			var leader bool
+			if call, leader = s.flights.join(key); !leader {
+				s.followFlight(w, r, kind, hash, call, async)
+				return
+			}
+			// Leadership double-check: a previous leader's memo fill
+			// precedes its flight retirement, so a memo hit here means the
+			// bytes landed between our miss and taking leadership. Serve
+			// them and resolve the flight for any followers that raced in
+			// with us — this is what makes "one execution per hash"
+			// airtight rather than merely likely.
+			if cached, tier, ok = memo.Get(hash); ok {
+				s.flights.complete(key, call, cached, nil)
+			}
+		}
+		if ok {
+			s.m.memoHit(tier)
+			if async {
+				e := s.newJob(kind, hash)
+				e.finish(cached, true, nil)
+				s.writeAccepted(w, e)
+				return
+			}
+			s.writeResult(w, r, hash, cached, cacheHit, tier)
+			return
+		}
+	}
+
+	spanAttrs := map[string]interface{}{"endpoint": "/v1/" + kind, "hash": hash, "async": async}
+	for k, v := range attrs {
+		spanAttrs[k] = v
+	}
+	reqSpan := obs.StartSpan(s.tr, "serve.request", spanAttrs)
+	e := s.newJob(kind, hash)
+	// A cacheable execution is shared — followers may be riding it — so it
+	// is detached from any single client connection: only the per-request
+	// timeout and server drain can stop it. A follower (or even the
+	// leader's client) hanging up leaves the run, the memo fill, and
+	// everyone else's response intact.
+	ctx, cancel := s.requestCtx(r, async || cacheable)
+	job, err := s.pool.Submit(ctx, kind, reqSpan.Tracer(), func(ctx context.Context, tr obs.Tracer) error {
+		e.start()
+		out, err := run(ctx, tr)
+		if err != nil {
+			e.finish(nil, false, err)
+			return err
+		}
+		if cacheable {
+			memo.Put(hash, out)
+		}
+		e.finish(out, false, nil)
+		return nil
+	})
+	if err != nil {
+		cancel()
+		s.dropJob(e.id)
+		if call != nil {
+			s.flights.complete(key, call, nil, err)
+		}
+		reqSpan.EndAs("rejected", map[string]interface{}{"err": err.Error()})
+		s.writeReject(w, err)
+		return
+	}
+	// Terminal-state watcher: once the pool is done with the job — ran,
+	// failed, or skipped because its context died while queued — the entry
+	// reaches a terminal state (without this a queued-then-expired job
+	// would report "queued" forever), the flight resolves so followers
+	// unblock with the result or the real typed error, and the detached
+	// context is released. For async jobs it also owns the span end; sync
+	// requests end their span on the response path.
+	go func() {
+		<-job.Done()
+		err := job.Err()
+		e.abandon(err)
+		if call != nil {
+			s.flights.complete(key, call, e.resultBytes(), err)
+		}
+		cancel()
+		if async {
+			if err != nil {
+				reqSpan.EndAs("error", map[string]interface{}{"err": err.Error()})
+			} else {
+				reqSpan.End()
+			}
+		}
+	}()
+	if async {
+		s.writeAccepted(w, e)
+		return
+	}
+	if err := job.Wait(r.Context()); err != nil {
+		if r.Context().Err() != nil {
+			// Client hung up. A shared execution keeps running — followers
+			// and the memo still want its result; the watcher releases the
+			// context when the job finishes.
+			reqSpan.EndAs("canceled", nil)
+			return
+		}
+		reqSpan.EndAs("error", map[string]interface{}{"err": err.Error()})
+		writeRunError(w, err)
+		return
+	}
+	reqSpan.End()
+	if !cacheable {
+		// The hash does not address a shard slice or merge outcome — no
+		// validator, exact bytes as computed.
+		hash = ""
+	}
+	s.writeResult(w, r, hash, e.resultBytes(), cacheMiss, "")
+}
+
+// followFlight serves one coalesced request: wait for the leader's shared
+// execution and answer with its byte-identical result. The follower's
+// context bounds only its own wait — hanging up abandons the response, not
+// the leader's run.
+func (s *Server) followFlight(w http.ResponseWriter, r *http.Request, kind, hash string, call *flightCall, async bool) {
+	s.m.coalesce()
+	if async {
+		e := s.newJob(kind, hash)
+		go func() {
+			<-call.done
+			e.finish(call.result, call.err == nil, call.err)
+		}()
+		s.writeAccepted(w, e)
+		return
+	}
+	select {
+	case <-call.done:
+	case <-r.Context().Done():
+		return // follower hung up; the leader keeps running
+	}
+	err := call.err
+	switch {
+	case err == nil:
+		s.writeResult(w, r, hash, call.result, cacheCoalesced, "")
+	case errors.Is(err, exec.ErrQueueFull), errors.Is(err, exec.ErrPoolClosed):
+		// The leader never got admitted; followers share its rejection.
+		s.writeReject(w, err)
+	default:
+		writeRunError(w, err)
+	}
+}
+
 // --- solve --------------------------------------------------------------
 
 // decodeSolveBody parses one POST /v1/solve body into a validated spec and
@@ -581,16 +768,7 @@ func decodeSolveBody(body []byte) (alg.Spec, string, error) {
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	s.m.request()
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	if s.closed.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	body, ok := s.readBody(w, r)
+	body, ok := s.readPost(w, r)
 	if !ok {
 		return
 	}
@@ -599,170 +777,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	async := r.URL.Query().Get("async") == "1"
-
-	// Conditional fast path: a client that already holds these bytes (the
-	// ETag is the content address) gets 304 before any cache or pool work.
-	if !async && s.answer304(w, r, hash) {
-		return
-	}
-
-	// Cross-request memo: an identical spec already answered returns the
-	// exact bytes it got, instantly, at any queue depth.
-	if cached, tier, ok := s.solveMemo.Get(hash); ok {
-		s.m.memoHit(tier)
-		if async {
-			e := s.newJob("solve", hash)
-			e.finish(cached, true, nil)
-			s.writeAccepted(w, e)
-			return
-		}
-		s.writeResult(w, r, hash, cached, cacheHit, tier)
-		return
-	}
-	s.m.memoMiss(s.solveMemo.disk != nil)
-
-	// In-flight coalescing: a concurrent identical request is already
-	// executing — ride it instead of burning a second run.
-	call, leader := s.flights.join("solve/" + hash)
-	if !leader {
-		s.followFlight(w, r, "solve", hash, call, async)
-		return
-	}
-	// Leadership double-check: a previous leader's memo fill precedes its
-	// flight retirement, so a memo hit here means the bytes landed between
-	// our miss and taking leadership. Serve them and resolve the flight for
-	// any followers that raced in with us — this is what makes "one
-	// execution per hash" airtight rather than merely likely.
-	if cached, tier, ok := s.solveMemo.Get(hash); ok {
-		s.flights.complete("solve/"+hash, call, cached, nil)
-		s.m.memoHit(tier)
-		if async {
-			e := s.newJob("solve", hash)
-			e.finish(cached, true, nil)
-			s.writeAccepted(w, e)
-			return
-		}
-		s.writeResult(w, r, hash, cached, cacheHit, tier)
-		return
-	}
-
-	reqSpan := obs.StartSpan(s.tr, "serve.request", map[string]interface{}{
-		"endpoint": "/v1/solve", "hash": hash, "async": async,
-	})
-	e := s.newJob("solve", hash)
-	// The shared execution is detached from any single client connection —
-	// followers may be riding it, so only the per-request timeout and
-	// server drain can stop it. A follower (or even the leader's client)
-	// hanging up leaves the run, the memo fill, and everyone else's
-	// response intact.
-	ctx, cancel := s.requestCtx(r, true)
-	job, err := s.pool.Submit(ctx, "solve", reqSpan.Tracer(), func(ctx context.Context, tr obs.Tracer) error {
-		e.start()
+	s.serveResult(w, r, "solve", hash, true, nil, func(ctx context.Context, tr obs.Tracer) ([]byte, error) {
 		// The job-span tracer rides into the algorithm, so bncl.run and its
 		// rounds parent under serve.request → exec.job.
-		run := sp
-		run.AlgOpts.Tracer = tr
-		p, res, err := run.Run(ctx)
+		sp.AlgOpts.Tracer = tr
+		p, res, err := sp.Run(ctx)
 		if err != nil {
-			e.finish(nil, false, err)
-			return err
+			return nil, err
 		}
-		out, err := EncodeSolveResponse(hash, run, p, res)
-		if err != nil {
-			e.finish(nil, false, err)
-			return err
-		}
-		s.solveMemo.Put(hash, out)
-		e.finish(out, false, nil)
-		return nil
+		return EncodeSolveResponse(hash, sp, p, res)
 	})
-	if err != nil {
-		cancel()
-		s.dropJob(e.id)
-		s.flights.complete("solve/"+hash, call, nil, err)
-		reqSpan.EndAs("rejected", map[string]interface{}{"err": err.Error()})
-		s.writeReject(w, err)
-		return
-	}
-	s.watchJob(job, e, "solve/"+hash, call, cancel, reqSpan, async)
-	if async {
-		s.writeAccepted(w, e)
-		return
-	}
-	if err := job.Wait(r.Context()); err != nil {
-		if r.Context().Err() != nil {
-			// Client hung up. The execution keeps running — followers and
-			// the memo still want its result; the watcher releases the
-			// context when the job finishes.
-			reqSpan.EndAs("canceled", nil)
-			return
-		}
-		reqSpan.EndAs("error", map[string]interface{}{"err": err.Error()})
-		writeRunError(w, err)
-		return
-	}
-	reqSpan.End()
-	s.writeResult(w, r, hash, e.resultBytes(), cacheMiss, "")
-}
-
-// followFlight serves one coalesced request: wait for the leader's shared
-// execution and answer with its byte-identical result. The follower's
-// context bounds only its own wait — hanging up abandons the response, not
-// the leader's run.
-func (s *Server) followFlight(w http.ResponseWriter, r *http.Request, kind, hash string, call *flightCall, async bool) {
-	s.m.coalesce()
-	if async {
-		e := s.newJob(kind, hash)
-		go func() {
-			<-call.done
-			res, err := call.outcome()
-			e.finish(res, err == nil, err)
-		}()
-		s.writeAccepted(w, e)
-		return
-	}
-	select {
-	case <-call.done:
-	case <-r.Context().Done():
-		return // follower hung up; the leader keeps running
-	}
-	res, err := call.outcome()
-	switch {
-	case err == nil:
-		s.writeResult(w, r, hash, res, cacheCoalesced, "")
-	case errors.Is(err, exec.ErrQueueFull), errors.Is(err, exec.ErrPoolClosed):
-		// The leader never got admitted; followers share its rejection.
-		s.writeReject(w, err)
-	default:
-		writeRunError(w, err)
-	}
-}
-
-// watchJob is the terminal-state watcher every admitted job gets: once the
-// pool is done with the job — ran, failed, or skipped because its context
-// died while queued — the entry reaches a terminal state (without this a
-// queued-then-expired job would report "queued" forever), the flight
-// resolves so followers unblock with the result or the real typed error,
-// and the detached context is released. For async jobs it also owns the
-// span end; sync leaders end their span on the response path.
-func (s *Server) watchJob(job *exec.Job, e *jobEntry, key string, call *flightCall, cancel context.CancelFunc, reqSpan *obs.Span, async bool) {
-	go func() {
-		<-job.Done()
-		err := job.Err()
-		e.abandon(err)
-		if call != nil {
-			s.flights.complete(key, call, e.resultBytes(), err)
-		}
-		cancel()
-		if async {
-			if err != nil {
-				reqSpan.EndAs("error", map[string]interface{}{"err": err.Error()})
-			} else {
-				reqSpan.End()
-			}
-		}
-	}()
 }
 
 // --- sweep --------------------------------------------------------------
@@ -816,16 +840,7 @@ func parseSweepShardQuery(r *http.Request) (shards, shard int, merge bool, err e
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.m.request()
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	if s.closed.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	body, ok := s.readBody(w, r)
+	body, ok := s.readPost(w, r)
 	if !ok {
 		return
 	}
@@ -839,85 +854,33 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	async := r.URL.Query().Get("async") == "1"
 	shards, shardIdx, mergeReq, err := parseSweepShardQuery(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// Sharded requests and merges are not cacheable: a shard's response
+	// covers only its slice of the grid, and a merge's answer depends on
+	// what other workers have written to the cache directory since —
+	// neither is the full-grid document the hash addresses.
 	sharded := shards > 1 || mergeReq
 	if sharded && s.cfg.CacheDir == "" {
 		writeError(w, http.StatusBadRequest,
 			"sharded sweeps and merges need a server-side cache directory (start the daemon with a cache dir)")
 		return
 	}
-
-	// Sharded requests and merges bypass the response memo, the flight
-	// group, and the ETag contract in both directions: a shard's response
-	// covers only its slice of the grid, and a merge's answer depends on
-	// what other workers have written to the cache directory since —
-	// neither is the cacheable full-grid document the hash addresses.
-	var call *flightCall
-	if !sharded {
-		if !async && s.answer304(w, r, hash) {
-			return
-		}
-		if cached, tier, ok := s.sweepMemo.Get(hash); ok {
-			s.m.memoHit(tier)
-			if async {
-				e := s.newJob("sweep", hash)
-				e.finish(cached, true, nil)
-				s.writeAccepted(w, e)
-				return
-			}
-			s.writeResult(w, r, hash, cached, cacheHit, tier)
-			return
-		}
-		s.m.memoMiss(s.sweepMemo.disk != nil)
-		var leader bool
-		call, leader = s.flights.join("sweep/" + hash)
-		if !leader {
-			s.followFlight(w, r, "sweep", hash, call, async)
-			return
-		}
-		// Same leadership double-check as handleSolve: a fill that landed
-		// between our miss and leadership serves everyone without a run.
-		if cached, tier, ok := s.sweepMemo.Get(hash); ok {
-			s.flights.complete("sweep/"+hash, call, cached, nil)
-			s.m.memoHit(tier)
-			if async {
-				e := s.newJob("sweep", hash)
-				e.finish(cached, true, nil)
-				s.writeAccepted(w, e)
-				return
-			}
-			s.writeResult(w, r, hash, cached, cacheHit, tier)
-			return
-		}
-	}
-
-	spanAttrs := map[string]interface{}{
-		"endpoint": "/v1/sweep", "hash": hash, "async": async,
-	}
+	var attrs map[string]interface{}
 	if mergeReq {
-		spanAttrs["merge"] = true
+		attrs = map[string]interface{}{"merge": true}
 	} else if sharded {
-		spanAttrs["shards"] = shards
-		spanAttrs["shard"] = shardIdx
+		attrs = map[string]interface{}{"shards": shards, "shard": shardIdx}
 	}
-	reqSpan := obs.StartSpan(s.tr, "serve.request", spanAttrs)
-	e := s.newJob("sweep", hash)
-	// Unsharded executions are shared (followers may coalesce onto them) and
-	// therefore detached from the leader's connection; sharded slices and
-	// merges stay bound to their own client as before.
-	ctx, cancel := s.requestCtx(r, async || !sharded)
-	job, err := s.pool.Submit(ctx, "sweep", reqSpan.Tracer(), func(ctx context.Context, tr obs.Tracer) error {
-		e.start()
+	s.serveResult(w, r, "sweep", hash, !sharded, attrs, func(ctx context.Context, tr obs.Tracer) ([]byte, error) {
 		var res *sweep.Result
 		var err error
 		if mergeReq {
-			// Merge only folds journals and cache objects — no cells execute,
-			// so it runs directly on the job goroutine.
+			// Merge only folds journals and cache objects — no cells
+			// execute, so it runs directly on the job goroutine.
 			res, err = sweep.Merge(sw, s.cfg.CacheDir)
 		} else {
 			// Cells fan out on the same shared pool; the caller-participating
@@ -936,55 +899,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 		if err != nil {
-			e.finish(nil, false, err)
-			return err
+			return nil, err
 		}
-		out, err := EncodeSweepResponse(hash, res)
-		if err != nil {
-			e.finish(nil, false, err)
-			return err
-		}
-		if !sharded {
-			s.sweepMemo.Put(hash, out)
-		}
-		e.finish(out, false, nil)
-		return nil
+		return EncodeSweepResponse(hash, res)
 	})
-	if err != nil {
-		cancel()
-		s.dropJob(e.id)
-		if call != nil {
-			s.flights.complete("sweep/"+hash, call, nil, err)
-		}
-		reqSpan.EndAs("rejected", map[string]interface{}{"err": err.Error()})
-		s.writeReject(w, err)
-		return
-	}
-	// Same terminal-state watcher as handleSolve: a job skipped by its
-	// dead context must not leave the entry "queued" forever, and unsharded
-	// flights must resolve for their followers.
-	s.watchJob(job, e, "sweep/"+hash, call, cancel, reqSpan, async)
-	if async {
-		s.writeAccepted(w, e)
-		return
-	}
-	if err := job.Wait(r.Context()); err != nil {
-		if r.Context().Err() != nil {
-			reqSpan.EndAs("canceled", nil)
-			return
-		}
-		reqSpan.EndAs("error", map[string]interface{}{"err": err.Error()})
-		writeRunError(w, err)
-		return
-	}
-	reqSpan.End()
-	if sharded {
-		// The hash does not address a shard slice or merge outcome — no
-		// validator, no memo, exact bytes as computed.
-		s.writeResult(w, r, "", e.resultBytes(), cacheMiss, "")
-		return
-	}
-	s.writeResult(w, r, hash, e.resultBytes(), cacheMiss, "")
 }
 
 // --- responses ----------------------------------------------------------

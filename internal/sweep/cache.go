@@ -3,10 +3,10 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"wsnloc/internal/alg"
+	"wsnloc/internal/castore"
 	"wsnloc/internal/metrics"
 )
 
@@ -21,41 +21,31 @@ type Entry struct {
 	Eval   metrics.Eval `json:"eval"`
 }
 
-// Cache is a content-addressed result store on disk: one JSON file per cell
-// under objects/<first two hash bytes>/<hash>.json. Writes are atomic
-// (temp file + rename), so a killed sweep never leaves a truncated entry a
-// resume could trust. Safe for concurrent use by the engine's workers —
-// distinct cells touch distinct files, and duplicate keys write identical
-// bytes.
+// Cache is the on-disk cell result store: each Entry, JSON-encoded, is one
+// castore object under objects/<first two hash bytes>/<hash>.json. Writes
+// are atomic and every read checks the object's key, engine version and
+// body SHA-256, so a killed sweep or a damaged file never leaves an entry
+// a resume could trust. Safe for concurrent use by the engine's workers.
 type Cache struct {
-	dir string
+	store *castore.Store
 }
 
 // OpenCache opens (creating if needed) the cache rooted at dir.
 func OpenCache(dir string) (*Cache, error) {
-	objects := filepath.Join(dir, "objects")
-	if err := os.MkdirAll(objects, 0o755); err != nil {
+	store, err := castore.Open(filepath.Join(dir, "objects"), ".json", EngineVersion)
+	if err != nil {
 		return nil, fmt.Errorf("sweep: opening cache: %w", err)
 	}
-	return &Cache{dir: objects}, nil
-}
-
-// path returns the object path for key (fan-out on the first hash byte
-// keeps directories small on big sweeps).
-func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key[:2], key+".json")
+	return &Cache{store: store}, nil
 }
 
 // Load returns the entry stored under key, or ok=false when absent,
-// unreadable, or inconsistent (wrong key or engine version — e.g. a file
-// from an older engine or a corrupted write). A bad entry is a miss, never
-// an error: the engine just recomputes and overwrites it.
+// unreadable, or inconsistent (wrong key, engine version or checksum — e.g.
+// a file from an older engine or a corrupted write). A bad entry is a miss,
+// never an error: the engine just recomputes and overwrites it.
 func (c *Cache) Load(key string) (*Entry, bool) {
-	if len(key) < 2 {
-		return nil, false
-	}
-	data, err := os.ReadFile(c.path(key))
-	if err != nil {
+	data, ok := c.store.Get(key)
+	if !ok {
 		return nil, false
 	}
 	var e Entry
@@ -70,29 +60,11 @@ func (c *Cache) Load(key string) (*Entry, bool) {
 
 // Store persists the entry under its key atomically.
 func (c *Cache) Store(e *Entry) error {
-	if len(e.Key) < 2 {
-		return fmt.Errorf("sweep: cache store: malformed key %q", e.Key)
-	}
 	data, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("sweep: cache store: %w", err)
 	}
-	path := c.path(e.Key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("sweep: cache store: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+e.Key[:8]+"-*")
-	if err != nil {
-		return fmt.Errorf("sweep: cache store: %w", err)
-	}
-	_, werr := tmp.Write(append(data, '\n'))
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("sweep: cache store: write %s: %v/%v", path, werr, cerr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := c.store.Put(e.Key, append(data, '\n')); err != nil {
 		return fmt.Errorf("sweep: cache store: %w", err)
 	}
 	return nil
@@ -101,12 +73,5 @@ func (c *Cache) Store(e *Entry) error {
 // Len reports how many entries the cache currently holds (test/diagnostic
 // helper; walks the object tree).
 func (c *Cache) Len() int {
-	n := 0
-	filepath.WalkDir(c.dir, func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && filepath.Ext(path) == ".json" {
-			n++
-		}
-		return nil
-	})
-	return n
+	return c.store.Len()
 }

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -85,6 +87,39 @@ func TestCacheBadEntriesAreMisses(t *testing.T) {
 		t.Error("stale engine version hit")
 	}
 
+	// An entry whose numbers changed but which still parses: one digit of
+	// its errors rewritten in place. The body checksum makes it a miss.
+	if err := c.Store(e); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := bytes.Replace(good, []byte(`"Errors":[1.25,`), []byte(`"Errors":[9.25,`), 1)
+	if bytes.Equal(tampered, good) {
+		t.Fatal("test entry has no errors field to tamper with")
+	}
+	if err := os.WriteFile(path, tampered, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c.Load(e.Key); ok {
+		t.Errorf("tampered entry hit with errors %v", got.Eval.Errors)
+	}
+
+	// An entry in the pre-castore layout (bare JSON, no header line) is a
+	// miss, not an error.
+	bare, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(bare, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Load(e.Key); ok {
+		t.Error("bare-JSON entry hit")
+	}
+
 	mismatched := *e
 	mismatched.Key = "00deadbeef"
 	if err := c.Store(&mismatched); err != nil {
@@ -109,10 +144,12 @@ func TestCacheMalformedKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Load(""); ok {
-		t.Error("empty key hit")
-	}
-	if err := c.Store(&Entry{Key: "x"}); err == nil {
-		t.Error("malformed key stored")
+	for _, key := range []string{"", "x", "abcd", "ab/../../cdef01"} {
+		if _, ok := c.Load(key); ok {
+			t.Errorf("malformed key %q hit", key)
+		}
+		if err := c.Store(&Entry{Key: key}); err == nil {
+			t.Errorf("malformed key %q stored", key)
+		}
 	}
 }

@@ -298,7 +298,7 @@ func TestGoldenSummaryShardCrashResume(t *testing.T) {
 	for i := keep + 1; i < len(lines); i++ {
 		recs, _ := readJournalRecords(lines[i])
 		for _, rec := range recs {
-			if err := os.Remove(cache.path(rec.Key)); err != nil {
+			if err := os.Remove(cache.store.Path(rec.Key)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -11,7 +11,7 @@
 // Layout of an output directory:
 //
 //	out/
-//	  objects/<hh>/<hash>.json   one cached cell result (content-addressed)
+//	  objects/<hh>/<hash>.json   one cached cell result (a castore object)
 //	  journal.jsonl              JSONL checkpoint stream of sweep.* events
 //	  summary.json               merged curves (written by the CLI)
 //

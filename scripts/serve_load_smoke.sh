@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
-# serve_load_smoke.sh — end-to-end smoke test of the high-throughput serving
-# path: coalescing, the tiered response memo, and conditional requests.
+# serve_load_smoke.sh — end-to-end smoke test of the serving path's cache
+# contracts over real HTTP: conditional requests and the disk memo tier.
 #
-# Boots wsnlocd with a disk memo, fires a short duplicate-heavy open-loop
-# run with wsnloc-load, and fails unless (1) every response was 2xx/304,
-# (2) the daemon visibly served duplicates from its cache tiers (hits or
-# coalesces > 0), and (3) an If-None-Match replay of a solve answers 304
-# with an empty body. Finally restarts the daemon over the same memo dir
-# and requires the first repeat solve to be a warm disk hit.
+# Boots wsnlocd with a disk memo and fails unless (1) an If-None-Match
+# replay of a solve answers 304 with an empty body, and (2) after a restart
+# over the same memo dir the first repeat solve is a warm disk hit with the
+# original bytes. Load under duplicate traffic is measured by the repository
+# benchmark: bash bench/run.sh --workload serve-mix.
 # Run from the repository root: ./scripts/serve_load_smoke.sh
 set -euo pipefail
 
@@ -16,7 +15,6 @@ daemon_pid=""
 trap 'kill "$daemon_pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 go build -o "$workdir/wsnlocd" ./cmd/wsnlocd
-go build -o "$workdir/wsnloc-load" ./cmd/wsnloc-load
 
 boot_daemon() { # boot_daemon <log-suffix>
   "$workdir/wsnlocd" -addr 127.0.0.1:0 -workers 2 -memo-dir "$workdir/memo" \
@@ -38,24 +36,6 @@ boot_daemon() { # boot_daemon <log-suffix>
 
 boot_daemon boot1
 echo "serve_load_smoke: daemon at http://$addr/"
-
-# Duplicate-heavy open-loop run: short, but hot enough that coalescing and
-# the memo must both engage.
-"$workdir/wsnloc-load" -url "http://$addr" -endpoint solve \
-  -rps 80 -duration 2s -warmup 500ms -dup 0.9 -seed 7 \
-  -o "$workdir/load.json"
-python3 - "$workdir/load.json" <<'PY'
-import json, sys
-r = json.load(open(sys.argv[1]))["runs"][0]
-errs = r["errors"]
-served = r["cache"]["hit"] + r["cache"]["coalesced"]
-print(f"serve_load_smoke: accepted={r['accepted']} shed={r['shed']} errors={errs} "
-      f"hit={r['cache']['hit']} coalesced={r['cache']['coalesced']} p99={r['latency']['p99_ms']:.1f}ms")
-assert errs == 0, f"{errs} failed requests"
-assert r["accepted"] > 0, "no accepted responses"
-assert served > 0, "duplicate-heavy run never touched the cache tiers"
-PY
-echo "serve_load_smoke: load run ok"
 
 spec='{"scenario":{"N":40,"Field":60,"AnchorFrac":0.25,"Seed":3},"algorithm":"centroid","seed":7}'
 
