@@ -14,8 +14,7 @@
 //
 //	wsnloc-bench -json bench.json   # per-algorithm JSON summary (replaces -e)
 //	wsnloc-bench -e E2 -trace out.jsonl -cpuprofile cpu.pprof -memprofile mem.pprof
-//	wsnloc-bench -e all -pprof localhost:6060   # live /debug/pprof while running
-//	wsnloc-bench -e all -obs-http :6060         # full ops plane: /metrics /events /debug/pprof
+//	wsnloc-bench -e all -obs-http :6060         # live ops plane: /metrics /events /debug/pprof
 package main
 
 import (
@@ -61,7 +60,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		tracePath  = fs.String("trace", "", "write a JSONL trace of trial/round/phase events to this path")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this path")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this path")
-		pprofAddr  = fs.String("pprof", "", "serve /debug/pprof on this address while running (e.g. localhost:6060)")
 		obsAddr    = fs.String("obs-http", "", "serve the live ops plane (/metrics, /events, /healthz, /buildinfo, /debug/pprof) on this address, e.g. :6060")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -96,56 +94,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	q.Censor = *censor
 	q.Prune = *prune
 
-	var tracers []obs.Tracer
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "wsnloc-bench:", err)
-			return 1
-		}
-		jsonl := obs.NewJSONL(f)
-		tracers = append(tracers, jsonl)
-		// Check the sink on every exit path: a trace that silently lost
-		// events must fail the run, not just log nothing.
-		defer func() {
-			if err := jsonl.Err(); err != nil {
-				fmt.Fprintln(stderr, "wsnloc-bench: trace:", err)
-				if code == 0 {
-					code = 1
-				}
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(stderr, "wsnloc-bench: trace:", err)
-				if code == 0 {
-					code = 1
-				}
-			}
-		}()
+	sinks, err := obs.Start(obs.Flags{Trace: *tracePath, HTTP: *obsAddr, Stderr: stderr})
+	if err != nil {
+		fmt.Fprintln(stderr, "wsnloc-bench:", err)
+		return 1
 	}
-	if *obsAddr != "" {
-		reg := obs.NewRegistry()
-		tracers = append(tracers, obs.NewMetricsSink(reg))
-		bc := obs.NewBroadcast(obs.DefaultBroadcastDepth)
-		tracers = append(tracers, bc)
-		sampler := obs.StartRuntimeSampler(reg, 0)
-		defer sampler.Stop()
-		srv, err := obs.StartOpsServer(*obsAddr, reg, bc)
-		if err != nil {
+	defer func() {
+		if err := sinks.Close(); err != nil {
 			fmt.Fprintln(stderr, "wsnloc-bench:", err)
-			return 1
+			if code == 0 {
+				code = 1
+			}
 		}
-		// Graceful on the way out: open /events streams end with a clean EOF
-		// instead of a connection reset, bounded so a stuck peer cannot hold
-		// the process hostage.
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			srv.Shutdown(sctx)
-		}()
-		fmt.Fprintf(stderr, "obs: serving http://%s/ (metrics, events, pprof)\n", srv.Addr())
-	}
-	tr := obs.Multi(tracers...)
-	q.Tracer = tr
+	}()
+	q.Tracer = sinks.Tracer
 	if *cpuProfile != "" {
 		stop, err := obs.StartCPUProfile(*cpuProfile)
 		if err != nil {
@@ -161,19 +123,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 			}
 		}()
 	}
-	if *pprofAddr != "" {
-		bound, shutdown, err := obs.StartPprofServer(*pprofAddr)
-		if err != nil {
-			fmt.Fprintln(stderr, "wsnloc-bench:", err)
-			return 1
-		}
-		defer shutdown()
-		fmt.Fprintf(stderr, "pprof: http://%s/debug/pprof/\n", bound)
-	}
 
 	if *jsonPath != "" {
 		// Trace-sink health is checked by the deferred handler on every path.
-		return runSummary(ctx, stdout, stderr, q, *jsonPath, *jsonAlgs, tr)
+		return runSummary(ctx, stdout, stderr, q, *jsonPath, *jsonAlgs)
 	}
 
 	var selected []expt.Experiment
@@ -218,7 +171,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 // runSummary executes the machine-readable benchmark: every algorithm in
 // algsCSV (default: the E1 set) on the default scenario at quality q, a
 // compact human table on stdout, and the stable JSON document at path.
-func runSummary(ctx context.Context, stdout, stderr io.Writer, q expt.Quality, path, algsCSV string, tr obs.Tracer) int {
+func runSummary(ctx context.Context, stdout, stderr io.Writer, q expt.Quality, path, algsCSV string) int {
 	var algs []string
 	if algsCSV != "" {
 		for _, a := range strings.Split(algsCSV, ",") {
@@ -227,7 +180,7 @@ func runSummary(ctx context.Context, stdout, stderr io.Writer, q expt.Quality, p
 			}
 		}
 	}
-	sum, err := expt.SummarizeCtx(ctx, q, algs, tr)
+	sum, err := expt.SummarizeCtx(ctx, q, algs, q.Tracer)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			fmt.Fprintln(stderr, "wsnloc-bench: summary canceled:", err)

@@ -87,6 +87,19 @@ func TestJSONSummaryWithTrace(t *testing.T) {
 	}
 }
 
+// A trace that loses events (a full device) fails the run with exit 1.
+func TestTraceLostEventsFails(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	var out, errb bytes.Buffer
+	args := []string{"-json", filepath.Join(t.TempDir(), "bench.json"), "-json-algs", "centroid",
+		"-trials", "1", "-scale", "0.2", "-trace", "/dev/full"}
+	if code := run(context.Background(), args, &out, &errb); code != 1 || !strings.Contains(errb.String(), "trace:") {
+		t.Errorf("exit %d, stderr %q; want 1 and the trace error", code, errb.String())
+	}
+}
+
 func TestSummaryUnknownAlgorithm(t *testing.T) {
 	var out, errb bytes.Buffer
 	args := []string{"-json", filepath.Join(t.TempDir(), "bench.json"), "-json-algs", "bogus"}

@@ -10,10 +10,10 @@
 //	wsnloc-sweep -expand sweep.json                       # print the cell list, run nothing
 //
 // A killed run (timeout, Ctrl-C) leaves every completed cell in
-// out/objects/ and a checkpoint journal in out/journal.jsonl; re-running
-// with -resume picks up where it stopped, re-executing zero completed
-// cells. The merged summary (out/summary.json and the stdout tables) is
-// byte-identical whether cells were computed or loaded from the cache.
+// out/objects/; re-running with -resume picks up where it stopped,
+// re-executing zero completed cells. The merged summary (out/summary.json
+// and the stdout tables) is byte-identical whether cells were computed or
+// loaded from the cache.
 //
 // Observability:
 //
@@ -45,7 +45,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"syscall"
-	"time"
 
 	"wsnloc/internal/alg"
 	"wsnloc/internal/obs"
@@ -63,7 +62,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	fs.SetOutput(stderr)
 	var (
 		specPath  = fs.String("sweep", "", "JSON sweep document (required unless -expand)")
-		outDir    = fs.String("out", "", "output directory for the cache, journal, and summary (empty = in-memory, nothing persisted)")
+		outDir    = fs.String("out", "", "output directory for the cell cache, shard journals, and summary (empty = in-memory, nothing persisted)")
 		resume    = fs.Bool("resume", false, "reuse cached cell results from -out instead of recomputing them")
 		workers   = fs.Int("workers", 0, "concurrent cells (0 = all CPUs, 1 = sequential; results identical)")
 		conv      = fs.String("conv", "", "BNCL message-convolution path (auto|sparse|fft) for option sets that leave it unset; changes cell cache keys")
@@ -150,59 +149,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		defer cancel()
 	}
 
-	var tracers []obs.Tracer
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
+	sinks, err := obs.Start(obs.Flags{Trace: *tracePath, Verbose: *verbose, HTTP: *obsAddr, Stderr: stderr})
+	if err != nil {
+		fmt.Fprintln(stderr, "wsnloc-sweep:", err)
+		return 1
+	}
+	defer func() {
+		if err := sinks.Close(); err != nil {
 			fmt.Fprintln(stderr, "wsnloc-sweep:", err)
-			return 1
-		}
-		jsonl := obs.NewJSONL(f)
-		tracers = append(tracers, jsonl)
-		// Check the sink on every exit path: a trace that silently lost
-		// events must fail the run, not just log nothing. (The -out journal
-		// has the same guarantee inside the sweep engine.)
-		defer func() {
-			if err := jsonl.Err(); err != nil {
-				fmt.Fprintln(stderr, "wsnloc-sweep: trace:", err)
-				if code == 0 {
-					code = 1
-				}
+			if code == 0 {
+				code = 1
 			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(stderr, "wsnloc-sweep: trace:", err)
-				if code == 0 {
-					code = 1
-				}
-			}
-		}()
-	}
-	if *verbose {
-		tracers = append(tracers, obs.NewLog(stderr))
-	}
-	var reg *obs.Registry
-	if *obsAddr != "" {
-		reg = obs.NewRegistry()
-		tracers = append(tracers, obs.NewMetricsSink(reg))
-		bc := obs.NewBroadcast(obs.DefaultBroadcastDepth)
-		tracers = append(tracers, bc)
-		sampler := obs.StartRuntimeSampler(reg, 0)
-		defer sampler.Stop()
-		srv, err := obs.StartOpsServer(*obsAddr, reg, bc)
-		if err != nil {
-			fmt.Fprintln(stderr, "wsnloc-sweep:", err)
-			return 1
 		}
-		// Graceful on the way out: open /events streams end with a clean EOF
-		// instead of a connection reset, bounded so a stuck peer cannot hold
-		// the process hostage.
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			srv.Shutdown(sctx)
-		}()
-		fmt.Fprintf(stderr, "obs: serving http://%s/ (metrics, events, pprof)\n", srv.Addr())
-	}
+	}()
 
 	res, err := sweep.RunCtx(ctx, sw, sweep.Options{
 		OutDir:     *outDir,
@@ -211,8 +170,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		Shards:     *shards,
 		ShardIndex: *shardIdx,
 		LeaseTTL:   *leaseTTL,
-		Tracer:     obs.Multi(tracers...),
-		Metrics:    reg,
+		Tracer:     sinks.Tracer,
+		Metrics:    sinks.Registry,
 	})
 	if err != nil {
 		switch {

@@ -75,9 +75,6 @@ func TestColdRunThenResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("summary not written: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(out, "journal.jsonl")); err != nil {
-		t.Fatalf("journal not written: %v", err)
-	}
 
 	code, stdout, stderr = runCLI(t, "-sweep", spec, "-out", out, "-resume")
 	if code != 0 {
@@ -151,6 +148,18 @@ func TestTraceFlag(t *testing.T) {
 		if !bytes.Contains(data, []byte(want)) {
 			t.Errorf("trace missing %s", want)
 		}
+	}
+}
+
+// A trace that loses events (a full device) fails the run with exit 1.
+func TestTraceLostEventsFails(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	spec := writeSpec(t, tinySweep)
+	code, _, stderr := runCLI(t, "-sweep", spec, "-trace", "/dev/full", "-workers", "1")
+	if code != 1 || !strings.Contains(stderr, "trace:") {
+		t.Errorf("code=%d stderr=%q; want 1 and the trace error", code, stderr)
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	algpkg "wsnloc/internal/alg"
 	"wsnloc/internal/core"
@@ -157,60 +156,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 
 	// Observability wiring: compose the requested sinks into one tracer and
 	// hand it to the algorithm builder.
-	var tracers []obs.Tracer
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
+	sinks, err := obs.Start(obs.Flags{
+		Trace: *tracePath, Verbose: *verbose, Metrics: *metricsPath != "" || *promPath != "",
+		HTTP: *obsAddr, Stderr: stderr,
+	})
+	if err != nil {
+		fmt.Fprintln(stderr, "wsnloc:", err)
+		return 1
+	}
+	defer func() {
+		if err := sinks.Close(); err != nil {
 			fmt.Fprintln(stderr, "wsnloc:", err)
-			return 1
-		}
-		jsonl := obs.NewJSONL(f)
-		tracers = append(tracers, jsonl)
-		// A trace that silently lost events (full disk, bad mount) is worse
-		// than no trace: check the sink on every exit path, not just success.
-		defer func() {
-			if err := jsonl.Err(); err != nil {
-				fmt.Fprintln(stderr, "wsnloc: trace:", err)
-				if code == 0 {
-					code = 1
-				}
+			if code == 0 {
+				code = 1
 			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(stderr, "wsnloc: trace:", err)
-				if code == 0 {
-					code = 1
-				}
-			}
-		}()
-	}
-	reg := obs.NewRegistry()
-	if *metricsPath != "" || *promPath != "" || *obsAddr != "" {
-		tracers = append(tracers, obs.NewMetricsSink(reg))
-	}
-	if *verbose {
-		tracers = append(tracers, obs.NewLog(stderr))
-	}
-	if *obsAddr != "" {
-		bc := obs.NewBroadcast(obs.DefaultBroadcastDepth)
-		tracers = append(tracers, bc)
-		sampler := obs.StartRuntimeSampler(reg, 0)
-		defer sampler.Stop()
-		srv, err := obs.StartOpsServer(*obsAddr, reg, bc)
-		if err != nil {
-			fmt.Fprintln(stderr, "wsnloc:", err)
-			return 1
 		}
-		// Graceful on the way out: open /events streams end with a clean EOF
-		// instead of a connection reset, bounded so a stuck peer cannot hold
-		// the process hostage.
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			srv.Shutdown(sctx)
-		}()
-		fmt.Fprintf(stderr, "obs: serving http://%s/ (metrics, events, pprof)\n", srv.Addr())
-	}
-	tr := obs.Multi(tracers...)
+	}()
 
 	if *cpuProfile != "" {
 		stop, err := obs.StartCPUProfile(*cpuProfile)
@@ -221,7 +182,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		defer stop()
 	}
 
-	algOpts.Tracer = tr
+	algOpts.Tracer = sinks.Tracer
 	alg, err := expt.NewAlgorithm(*algName, algOpts)
 	if err != nil {
 		fmt.Fprintln(stderr, "wsnloc:", err)
@@ -238,13 +199,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	}
 
 	if *metricsPath != "" {
-		if err := writeFileWith(*metricsPath, reg.WriteJSON); err != nil {
+		if err := writeFileWith(*metricsPath, sinks.Registry.WriteJSON); err != nil {
 			fmt.Fprintln(stderr, "wsnloc:", err)
 			return 1
 		}
 	}
 	if *promPath != "" {
-		if err := writeFileWith(*promPath, reg.WritePrometheus); err != nil {
+		if err := writeFileWith(*promPath, sinks.Registry.WritePrometheus); err != nil {
 			fmt.Fprintln(stderr, "wsnloc:", err)
 			return 1
 		}

@@ -124,10 +124,18 @@ func TestProfileOutput(t *testing.T) {
 	}
 }
 
+// A trace that cannot be created, or that loses events once running (a
+// full device), fails the run with exit 1.
 func TestTraceUnwritablePath(t *testing.T) {
-	var out, errb bytes.Buffer
-	args := []string{"-n", "50", "-alg", "min-max", "-trace", filepath.Join(t.TempDir(), "no/such/dir.jsonl")}
-	if code := run(context.Background(), args, &out, &errb); code != 1 {
-		t.Errorf("unwritable trace path: exit %d", code)
+	paths := []string{filepath.Join(t.TempDir(), "no/such/dir.jsonl")}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		paths = append(paths, "/dev/full")
+	}
+	for _, path := range paths {
+		var out, errb bytes.Buffer
+		args := []string{"-n", "50", "-alg", "min-max", "-trace", path}
+		if code := run(context.Background(), args, &out, &errb); code != 1 {
+			t.Errorf("trace %s: exit %d, want 1 (stderr %q)", path, code, errb.String())
+		}
 	}
 }

@@ -73,8 +73,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		readTO       = fs.Duration("read-timeout", serve.DefaultReadTimeout, "max time to read one whole request, body included")
 		idleTO       = fs.Duration("idle-timeout", serve.DefaultIdleTimeout, "how long an idle keep-alive connection is retained")
 		maxHeader    = fs.Int("max-header-bytes", serve.DefaultMaxHeaderBytes, "per-connection request header size limit")
-		drain      = fs.Duration("drain", 30*time.Second, "graceful-shutdown deadline for in-flight jobs on SIGINT/SIGTERM")
-		verbose    = fs.Bool("v", false, "print event lines on stderr")
+		drain        = fs.Duration("drain", 30*time.Second, "graceful-shutdown deadline for in-flight jobs on SIGINT/SIGTERM")
+		verbose      = fs.Bool("v", false, "print event lines on stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -83,17 +83,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// One registry + broadcast feed both planes: the exec/serve instruments
 	// land where /metrics scrapes, and every request's span chain streams
 	// out of /events.
-	reg := obs.NewRegistry()
-	bc := obs.NewBroadcast(obs.DefaultBroadcastDepth)
-	tracers := []obs.Tracer{obs.NewMetricsSink(reg), bc}
-	if *verbose {
-		tracers = append(tracers, obs.NewLog(stderr))
+	sinks, err := obs.Start(obs.Flags{Live: true, Verbose: *verbose, Stderr: stderr})
+	if err != nil {
+		fmt.Fprintln(stderr, "wsnlocd:", err)
+		return 1
 	}
-	sampler := obs.StartRuntimeSampler(reg, 0)
-	defer sampler.Stop()
+	defer sinks.Close() // no trace file, so nothing to report
 
 	cfg := serve.Config{
-		Pool:              exec.Config{Workers: *workers, QueueDepth: *queue, Metrics: reg},
+		Pool:              exec.Config{Workers: *workers, QueueDepth: *queue, Metrics: sinks.Registry},
 		CacheDir:          *cacheDir,
 		MemoDir:           *memoDir,
 		SweepLeaseTTL:     *leaseTTL,
@@ -105,8 +103,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		ReadTimeout:       *readTO,
 		IdleTimeout:       *idleTO,
 		MaxHeaderBytes:    *maxHeader,
-		Registry:          reg,
-		Tracer:            obs.Multi(tracers...),
+		Registry:          sinks.Registry,
+		Tracer:            sinks.Tracer,
 	}
 	api, err := serve.New(cfg)
 	if err != nil {
@@ -116,7 +114,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", api.Handler())
-	mux.Handle("/", obs.NewOpsMux(reg, bc))
+	mux.Handle("/", obs.NewOpsMux(sinks.Registry, sinks.Broadcast))
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -126,6 +124,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// The hardened server: header/read/idle timeouts and a header size cap,
 	// so a slow or stalled client cannot pin a connection forever.
 	srv := cfg.HTTPServer(mux)
+	// Shutdown waits for every connection to go idle, and an /events stream
+	// never does on its own: closing the subscriptions ends those streams
+	// with a clean EOF instead of holding the drain to its deadline.
+	srv.RegisterOnShutdown(sinks.Broadcast.CloseSubscribers)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	// The address line is the boot handshake scripts parse (port 0 runs).
@@ -153,7 +155,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "wsnlocd: drain:", err)
 		code = 1
 	}
-	bc.CloseSubscribers()
 	if code == 0 {
 		fmt.Fprintln(stdout, "wsnlocd: drained cleanly")
 	}

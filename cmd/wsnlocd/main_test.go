@@ -93,17 +93,28 @@ func TestDaemonServesAndDrains(t *testing.T) {
 	}
 
 	// /metrics must expose the exec-pool instruments (one job just ran).
-	mresp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatalf("metrics: %v", err)
-	}
-	mbody, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if !strings.Contains(string(mbody), "wsnloc_exec_jobs_total") {
+	if !strings.Contains(scrape(t, base+"/metrics"), "wsnloc_exec_jobs_total") {
 		t.Error("/metrics missing wsnloc_exec_jobs_total")
 	}
 
+	// An open /events stream must not hold the drain: it ends with a clean
+	// EOF once shutdown starts.
+	events, err := http.Get(base + "/events")
+	if err != nil {
+		t.Fatalf("events: %v", err)
+	}
+	defer events.Body.Close()
+	for !strings.Contains(scrape(t, base+"/metrics"), "wsnloc_events_subscribers 1") {
+		if time.Now().After(deadline) {
+			t.Fatal("/events subscriber never registered")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
 	cancel()
+	if _, err := io.ReadAll(events.Body); err != nil {
+		t.Errorf("/events stream did not end cleanly: %v", err)
+	}
 	select {
 	case code := <-done:
 		if code != 0 {
@@ -115,4 +126,16 @@ func TestDaemonServesAndDrains(t *testing.T) {
 	if !strings.Contains(out.String(), "drained cleanly") {
 		t.Errorf("stdout = %q, want drained cleanly", out.String())
 	}
+}
+
+// scrape returns the body of a GET.
+func scrape(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	return string(body)
 }

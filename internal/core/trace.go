@@ -371,6 +371,16 @@ type tracedAlg struct {
 	tr  obs.Tracer
 }
 
+// SetTracer implements TracerSetter: the "algorithm" event and the wrapped
+// algorithm's own events move to tr together, so a per-trial tracer
+// parents both to the trial span.
+func (t *tracedAlg) SetTracer(tr obs.Tracer) {
+	t.tr = tr
+	if ts, ok := t.alg.(TracerSetter); ok {
+		ts.SetTracer(tr)
+	}
+}
+
 // Name implements Algorithm.
 func (t *tracedAlg) Name() string { return t.alg.Name() }
 

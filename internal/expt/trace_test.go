@@ -2,6 +2,7 @@ package expt
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"wsnloc/internal/core"
@@ -97,6 +98,50 @@ func TestRunTrialsTracedParallel(t *testing.T) {
 	}
 }
 
+// TestQualityTracerFlowsToExperiments checks the -trace path of wsnloc-bench:
+// a tracer on Quality reaches the algorithms the experiment tables run, and
+// each trial's algorithm and bncl.run.* events are parented to its span.
+func TestQualityTracerFlowsToExperiments(t *testing.T) {
+	for _, tc := range []struct {
+		alg  string
+		opts AlgOpts
+		runs int // bncl.run.done events per trial
+	}{
+		{"centroid", AlgOpts{}, 0},
+		{"bncl-grid", AlgOpts{GridN: 20, BPRounds: 5}, 1},
+	} {
+		t.Run(tc.alg, func(t *testing.T) {
+			mem := obs.NewMemory()
+			s := Scenario{N: 40, Field: 60, Seed: 9}
+			q := Quality{Trials: 2, Scale: 0.2, Tracer: mem}
+			if _, err := runSeries(context.Background(), s, tc.alg, tc.opts, q); err != nil {
+				t.Fatal(err)
+			}
+			trialSpans := map[string]bool{}
+			for _, e := range mem.ByName("trial.done") {
+				id, _ := e.Fields["span_id"].(string)
+				trialSpans[id] = true
+			}
+			if len(trialSpans) != 2 {
+				t.Fatalf("got %d distinct trial spans, want 2", len(trialSpans))
+			}
+			counts := map[string]int{}
+			for _, e := range mem.Events() {
+				if e.Name != "algorithm" && !strings.HasPrefix(e.Name, "bncl.run.") {
+					continue
+				}
+				counts[e.Name]++
+				if pid, _ := e.Fields["parent_id"].(string); !trialSpans[pid] {
+					t.Errorf("%s parent_id %q is not a trial span", e.Name, pid)
+				}
+			}
+			if counts["algorithm"] != 2 || counts["bncl.run.done"] != 2*tc.runs {
+				t.Errorf("event counts %v, want 2 algorithm and %d bncl.run.done", counts, 2*tc.runs)
+			}
+		})
+	}
+}
+
 // TestSummarize checks the machine-readable benchmark summary producer.
 func TestSummarize(t *testing.T) {
 	q := Quality{Trials: 1, Scale: 0.2}
@@ -124,22 +169,5 @@ func TestSummarize(t *testing.T) {
 
 	if _, err := Summarize(q, []string{"no-such-alg"}, nil); err == nil {
 		t.Error("unknown algorithm must error")
-	}
-}
-
-// TestQualityTracerFlowsToExperiments checks the -trace path of wsnloc-bench:
-// a tracer on Quality reaches the algorithms the experiment tables run.
-func TestQualityTracerFlowsToExperiments(t *testing.T) {
-	mem := obs.NewMemory()
-	s := Scenario{N: 40, Field: 60, Seed: 9}
-	q := Quality{Trials: 2, Scale: 0.2, Tracer: mem}
-	if _, err := runSeries(context.Background(), s, "centroid", AlgOpts{}, q); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(mem.ByName("trial.done")); got != 2 {
-		t.Errorf("got %d trial.done events, want 2", got)
-	}
-	if got := len(mem.ByName("algorithm")); got != 2 {
-		t.Errorf("got %d algorithm events, want 2", got)
 	}
 }

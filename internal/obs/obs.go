@@ -2,8 +2,9 @@
 // structured trace events with span-scoped hierarchy (span.go), a lightweight
 // metrics registry with Prometheus-text and JSON exposition (registry.go), a
 // bounded broadcast sink plus runtime sampler and HTTP ops server for live
-// observation (broadcast.go, runtime.go, server.go), and CPU/heap/pprof
-// profiling helpers (pprof.go).
+// observation (broadcast.go, runtime.go, server.go), CPU/heap profiling
+// helpers (pprof.go), and Start (start.go), which builds all of it from a
+// command's flags.
 //
 // The design rule is that observability must cost nothing when unused: the
 // default tracer is a no-op whose Enabled check is a single virtual call,

@@ -2,17 +2,14 @@ package obs
 
 import (
 	"fmt"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"runtime"
 	runtimepprof "runtime/pprof"
 )
 
 // Profiling helpers: thin wrappers that give the CLIs -cpuprofile /
-// -memprofile flags and an optional live /debug/pprof endpoint without each
-// command re-implementing the file and server plumbing.
+// -memprofile flags without each command re-implementing the file
+// plumbing. The live /debug/pprof endpoints ride the ops plane (-obs-http).
 
 // StartCPUProfile begins writing a CPU profile to path and returns the stop
 // function. The returned stop closes the file and must be called exactly
@@ -46,29 +43,4 @@ func WriteHeapProfile(path string) error {
 		return fmt.Errorf("obs: heap profile: %w", werr)
 	}
 	return cerr
-}
-
-// PprofMux returns a mux serving the standard net/http/pprof endpoints under
-// /debug/pprof/, without touching http.DefaultServeMux.
-func PprofMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
-}
-
-// StartPprofServer serves PprofMux on addr (e.g. "localhost:6060"; port 0
-// picks a free port) in a background goroutine. It returns the bound address
-// and a shutdown function.
-func StartPprofServer(addr string) (bound string, shutdown func() error, err error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, fmt.Errorf("obs: pprof server: %w", err)
-	}
-	srv := &http.Server{Handler: PprofMux()}
-	go srv.Serve(ln)
-	return ln.Addr().String(), srv.Close, nil
 }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
@@ -35,23 +33,5 @@ func TestCPUAndHeapProfiles(t *testing.T) {
 	}
 	if fi, err := os.Stat(heap); err != nil || fi.Size() == 0 {
 		t.Errorf("heap profile missing or empty: %v", err)
-	}
-}
-
-func TestStartPprofServer(t *testing.T) {
-	bound, shutdown, err := StartPprofServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("StartPprofServer: %v", err)
-	}
-	defer shutdown()
-
-	resp, err := http.Get("http://" + bound + "/debug/pprof/")
-	if err != nil {
-		t.Fatalf("GET /debug/pprof/: %v", err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK || len(body) == 0 {
-		t.Errorf("pprof index: status %d, %d bytes", resp.StatusCode, len(body))
 	}
 }

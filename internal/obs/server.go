@@ -1,18 +1,16 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
 	"strings"
 )
 
-// The ops server is the unified live observability plane the CLIs (and the
-// future wsnlocd daemon) mount behind one -obs-http flag:
+// The ops server is the unified live observability plane the CLIs serve
+// behind one -obs-http flag (see Start) and wsnlocd mounts on its API port:
 //
 //	GET /              endpoint index (text)
 //	GET /healthz       liveness probe ("ok")
@@ -173,47 +171,4 @@ func serveBuildInfo(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(out)
-}
-
-// Server is a running ops-plane HTTP server.
-type Server struct {
-	ln  net.Listener
-	srv *http.Server
-	bc  *Broadcast
-}
-
-// StartOpsServer serves the ops plane on addr (e.g. ":6060"; port 0 picks a
-// free port) in a background goroutine. Close force-closes the listener and
-// any in-flight /events streams; Shutdown drains them gracefully — the CLIs
-// use Shutdown with a short deadline on SIGINT/SIGTERM.
-func StartOpsServer(addr string, reg *Registry, bc *Broadcast) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("obs: ops server: %w", err)
-	}
-	srv := &http.Server{Handler: NewOpsMux(reg, bc)}
-	go srv.Serve(ln)
-	return &Server{ln: ln, srv: srv, bc: bc}, nil
-}
-
-// Addr returns the bound address (host:port).
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close shuts the server down immediately, terminating open streams.
-func (s *Server) Close() error { return s.srv.Close() }
-
-// Shutdown drains the server gracefully: the listener closes, open /events
-// streams end by their subscriptions closing (clients see a clean EOF, not
-// a reset), and in-flight scrapes finish — all bounded by ctx. When ctx
-// expires first, the remaining connections are force-closed and ctx's
-// error returned.
-func (s *Server) Shutdown(ctx context.Context) error {
-	if s.bc != nil {
-		s.bc.CloseSubscribers()
-	}
-	if err := s.srv.Shutdown(ctx); err != nil {
-		s.srv.Close()
-		return err
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -32,6 +33,7 @@ func TestOpsEndpointsServe(t *testing.T) {
 		{"/healthz", "ok"},
 		{"/metrics", "wsnloc_trials_total 3"},
 		{"/metrics.json", `"wsnloc_trials_total": 3`},
+		{"/debug/pprof/", "goroutine"},
 		{"/debug/pprof/cmdline", ""},
 	}
 	for _, tc := range cases {
@@ -186,13 +188,19 @@ func TestMetricsExposeBroadcastHealth(t *testing.T) {
 	}
 }
 
+// TestStartOpsServerServes pins the plane Start serves for -obs-http: its
+// bound address is announced on Stderr, it answers, and it stops answering
+// once Close returns.
 func TestStartOpsServerServes(t *testing.T) {
-	reg := NewRegistry()
-	srv, err := StartOpsServer("127.0.0.1:0", reg, nil)
+	var stderr bytes.Buffer
+	s, err := Start(Flags{HTTP: "127.0.0.1:0", Stderr: &stderr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get("http://" + srv.Addr() + "/healthz")
+	if want := "obs: serving http://" + s.addr + "/ (metrics, events, pprof)\n"; stderr.String() != want {
+		t.Errorf("stderr = %q, want %q", stderr.String(), want)
+	}
+	resp, err := http.Get("http://" + s.addr + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,10 +208,10 @@ func TestStartOpsServerServes(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz = %d, want 200", resp.StatusCode)
 	}
-	if err := srv.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Errorf("Close: %v", err)
 	}
-	if _, err := http.Get("http://" + srv.Addr() + "/healthz"); err == nil {
+	if _, err := http.Get("http://" + s.addr + "/healthz"); err == nil {
 		t.Error("server still serving after Close")
 	}
 }
@@ -220,36 +228,35 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 // TestOpsServerShutdownDrainsEventStreams pins the graceful-shutdown
-// contract: Shutdown closes every /events subscription (clients read a
-// clean EOF, not a connection reset) and stops the server within the
-// deadline.
+// contract of Close: every /events subscription closes (clients read a
+// clean EOF, not a connection reset) and the server stops well inside its
+// 2 s drain deadline.
 func TestOpsServerShutdownDrainsEventStreams(t *testing.T) {
-	reg := NewRegistry()
-	bc := NewBroadcast(4)
-	srv, err := StartOpsServer("127.0.0.1:0", reg, bc)
+	s, err := Start(Flags{HTTP: "127.0.0.1:0", Stderr: io.Discard})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get("http://" + srv.Addr() + "/events")
+	bc := s.Broadcast
+	resp, err := http.Get("http://" + s.addr + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	waitFor(t, func() bool { return bc.Subscribers() == 1 })
 
+	start := time.Now()
 	done := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		done <- srv.Shutdown(ctx)
-	}()
+	go func() { done <- s.Close() }()
 
 	// The stream must end cleanly: EOF, not a reset mid-read.
 	if _, err := io.ReadAll(resp.Body); err != nil {
 		t.Errorf("stream did not end cleanly: %v", err)
 	}
 	if err := <-done; err != nil {
-		t.Errorf("Shutdown: %v", err)
+		t.Errorf("Close: %v", err)
+	}
+	if d := time.Since(start); d >= 2*time.Second {
+		t.Errorf("Close took %v: the stream held the server to its deadline", d)
 	}
 	if got := bc.Subscribers(); got != 0 {
 		t.Errorf("subscribers after shutdown = %d, want 0", got)

@@ -44,7 +44,7 @@ type Span struct {
 
 // StartSpan opens a span named name and emits its "<name>.start" event with
 // the given fields plus "span_id" (and "parent_id" when tr is a span-scoped
-// tracer obtained from an enclosing Span.Tracer or Span.Wrap). fields is
+// tracer obtained from an enclosing Span.Tracer). fields is
 // owned by the span after the call. A nil or no-op tracer returns nil, which
 // every Span method tolerates.
 func StartSpan(tr Tracer, name string, fields map[string]interface{}) *Span {
@@ -150,29 +150,14 @@ func (s *Span) Tracer() Tracer {
 	if s == nil {
 		return Nop()
 	}
-	return &spanTracer{span: s, sink: s.sink}
-}
-
-// Wrap scopes an arbitrary tracer to this span: events emitted through the
-// result are tagged with this span as parent, and spans started on it become
-// children — even when tr is a different sink than the span's own (the sweep
-// engine journals cell spans but hands trial events to the caller's tracer
-// only). A nil span or a disabled tracer returns tr unchanged.
-func (s *Span) Wrap(tr Tracer) Tracer {
-	if s == nil || !Enabled(tr) {
-		return tr
-	}
-	return &spanTracer{span: s, sink: tr}
+	return &spanTracer{span: s}
 }
 
 // spanTracer is a Tracer bound to an enclosing span.
-type spanTracer struct {
-	span *Span
-	sink Tracer
-}
+type spanTracer struct{ span *Span }
 
 // Enabled implements Tracer.
-func (t *spanTracer) Enabled() bool { return Enabled(t.sink) }
+func (t *spanTracer) Enabled() bool { return Enabled(t.span.sink) }
 
 // Emit implements Tracer: plain events gain "parent_id"; events that already
 // carry span identity (span starts/ends, pre-tagged payloads) pass through.
@@ -185,5 +170,5 @@ func (t *spanTracer) Emit(e Event) {
 			e.Fields["parent_id"] = t.span.id
 		}
 	}
-	t.sink.Emit(e)
+	t.span.sink.Emit(e)
 }

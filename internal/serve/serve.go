@@ -486,7 +486,7 @@ func (e *jobEntry) resultBytes() []byte {
 	return e.result
 }
 
-// newJob registers a job entry for one admitted request, expiring stale
+// newJob registers a job entry for one async submission, expiring stale
 // finished entries on the way in.
 func (s *Server) newJob(kind, hash string) *jobEntry {
 	id := fmt.Sprintf("%s-%06d-%.12s", kind, s.nextID.Add(1), hash)
@@ -641,7 +641,14 @@ func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, kind, hash 
 		spanAttrs[k] = v
 	}
 	reqSpan := obs.StartSpan(s.tr, "serve.request", spanAttrs)
-	e := s.newJob(kind, hash)
+	// Only an async submission is pollable, so only it enters the job
+	// table; a synchronous request reads its bytes from an unlisted entry.
+	var e *jobEntry
+	if async {
+		e = s.newJob(kind, hash)
+	} else {
+		e = &jobEntry{kind: kind, hash: hash}
+	}
 	// A cacheable execution is shared — followers may be riding it — so it
 	// is detached from any single client connection: only the per-request
 	// timeout and server drain can stop it. A follower (or even the

@@ -745,6 +745,13 @@ func TestSolveMemoBounded(t *testing.T) {
 	if got := s.solveMemo.mem.Len(); got != 1 {
 		t.Errorf("memo entries = %d, want 1", got)
 	}
+	// No header carries a synchronous job's id, so none may hold its bytes.
+	s.jobsMu.Lock()
+	n := len(s.jobs)
+	s.jobsMu.Unlock()
+	if n != 0 {
+		t.Errorf("job table holds %d entries after synchronous requests, want 0", n)
+	}
 }
 
 // TestFinishedJobsEvicted pins job-table retention: a finished entry older

@@ -3,8 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -19,8 +17,9 @@ import (
 
 // Options tunes one sweep execution.
 type Options struct {
-	// OutDir is the persistence root (cache objects + journal). Empty runs
-	// fully in memory: nothing is cached and nothing can resume.
+	// OutDir is the persistence root (cache objects, plus the shard journal
+	// of a sharded run). Empty runs fully in memory: nothing is cached and
+	// nothing can resume.
 	OutDir string
 	// Workers bounds how many cells execute concurrently (0 = NumCPU,
 	// 1 = sequential). Purely a wall-clock knob: results and summaries are
@@ -30,10 +29,10 @@ type Options struct {
 	// run (Resume false) ignores existing entries but still writes fresh
 	// ones, so a subsequent resume sees them.
 	Resume bool
-	// Tracer, when non-nil and enabled, receives every sweep.* event the
-	// journal gets, plus the per-trial events of executed cells. Must be
-	// safe for concurrent use when Workers != 1 — every tracer in
-	// internal/obs is.
+	// Tracer, when non-nil and enabled, receives every sweep.* event plus
+	// the per-trial events of executed cells, parented sweep → cell →
+	// trial. Must be safe for concurrent use when Workers != 1 — every
+	// tracer in internal/obs is.
 	Tracer obs.Tracer
 	// Metrics, when non-nil, receives the engine's live instruments: cache
 	// hit/miss counters (wsnloc_sweep_cache_{hits,misses}_total), the
@@ -182,9 +181,9 @@ func Run(sw Spec, opts Options) (*Result, error) {
 
 // RunCtx expands the sweep into cells and executes them on the shared
 // bounded execution plane (internal/exec). Each finished cell is persisted
-// to the content-addressed cache and journaled before the next one starts,
-// so a cancel or kill loses at most the in-flight cells; resuming with the
-// same OutDir and Resume=true re-runs none of the completed ones.
+// to the content-addressed cache before the next one starts, so a cancel or
+// kill loses at most the in-flight cells; resuming with the same OutDir and
+// Resume=true re-runs none of the completed ones.
 // Cancellation stops handing out cells, aborts in-flight trials at round
 // granularity, joins the fan-out, and returns ctx's error.
 //
@@ -237,9 +236,7 @@ func RunCtx(ctx context.Context, sw Spec, opts Options) (out *Result, err error)
 		}
 	}
 
-	var journal *obs.JSONL
 	var shardJ *shardJournal
-	tracers := []obs.Tracer{}
 	if sharded {
 		// Claim the shard before touching its journal. A fresh lease held
 		// by a live worker bounces this run (ErrShardHeld); a stale one is
@@ -259,8 +256,7 @@ func RunCtx(ctx context.Context, sw Spec, opts Options) (out *Result, err error)
 
 		// Sharded runs journal self-validating cell records — the Merge
 		// substrate — one file per shard, so concurrent shards never
-		// interleave one stream. (The obs event journal stays an
-		// unsharded-only artifact.)
+		// interleave one stream.
 		if shardJ, err = openShardJournal(opts.OutDir, opts.ShardIndex); err != nil {
 			return nil, err
 		}
@@ -269,31 +265,7 @@ func RunCtx(ctx context.Context, sw Spec, opts Options) (out *Result, err error)
 				out, err = nil, fmt.Errorf("sweep: shard journal: %w", jerr)
 			}
 		}()
-	} else if opts.OutDir != "" {
-		jf, ferr := os.OpenFile(filepath.Join(opts.OutDir, "journal.jsonl"),
-			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if ferr != nil {
-			return nil, fmt.Errorf("sweep: opening journal: %w", ferr)
-		}
-		journal = obs.NewJSONL(jf)
-		tracers = append(tracers, journal)
-		// A failed journal write or close means the checkpoint stream is
-		// incomplete — a later resume would silently recompute (or worse,
-		// a reader would misjudge the run) — so it fails the sweep rather
-		// than vanishing. Cell results already cached remain valid.
-		defer func() {
-			if jerr := journal.Err(); jerr != nil && err == nil {
-				out, err = nil, fmt.Errorf("sweep: journal: %w", jerr)
-			}
-			if cerr := jf.Close(); cerr != nil && err == nil {
-				out, err = nil, fmt.Errorf("sweep: closing journal: %w", cerr)
-			}
-		}()
 	}
-	if opts.Tracer != nil {
-		tracers = append(tracers, opts.Tracer)
-	}
-	tr := obs.Multi(tracers...)
 
 	sweepAttrs := map[string]interface{}{
 		"name": sw.Name, "cells": len(cells), "workers": workers,
@@ -303,7 +275,7 @@ func RunCtx(ctx context.Context, sw Spec, opts Options) (out *Result, err error)
 		sweepAttrs["shards"] = opts.Shards
 		sweepAttrs["shard"] = opts.ShardIndex
 	}
-	sweepSpan := obs.StartSpan(tr, "sweep", sweepAttrs)
+	sweepSpan := obs.StartSpan(opts.Tracer, "sweep", sweepAttrs)
 	cellTr := sweepSpan.Tracer() // cells become children of the sweep span
 
 	var shardSpan *obs.Span
@@ -411,7 +383,7 @@ func runOne(ctx context.Context, i int, c Cell, key string, cache *Cache, shardJ
 			return res, nil
 		}
 	}
-	eval, err := runCell(ctx, c, sp.Wrap(opts.Tracer))
+	eval, err := runCell(ctx, c, sp.Tracer())
 	if err != nil {
 		sp.EndAs("error", map[string]interface{}{"err": err.Error()})
 		return CellResult{}, fmt.Errorf("sweep: cell %d (%s): %w", i, c.Spec.Algorithm, err)
@@ -438,7 +410,7 @@ func runOne(ctx context.Context, i int, c Cell, key string, cache *Cache, shardJ
 // parallelizes across cells, not inside them) via the shared expt runner.
 // The spec's Seed shifts the scenario seed base, so the sweep's seed axis
 // deterministically varies both topology and algorithm streams per trial.
-func runCell(ctx context.Context, c Cell, userTr obs.Tracer) (metrics.Eval, error) {
+func runCell(ctx context.Context, c Cell, tr obs.Tracer) (metrics.Eval, error) {
 	if _, err := alg.New(c.Spec.Algorithm, c.Spec.AlgOpts); err != nil {
 		return metrics.Eval{}, err
 	}
@@ -452,7 +424,7 @@ func runCell(ctx context.Context, c Cell, userTr obs.Tracer) (metrics.Eval, erro
 		}
 		return a
 	}
-	return expt.RunTrialsOpts(ctx, s, newAlg, c.Trials, expt.RunOpts{Workers: 1, Tracer: userTr})
+	return expt.RunTrialsOpts(ctx, s, newAlg, c.Trials, expt.RunOpts{Workers: 1, Tracer: tr})
 }
 
 // endCell closes a cell span with the cell's pooled evaluation.

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -59,6 +57,25 @@ func TestResumeRerunsZeroCompletedCells(t *testing.T) {
 	}
 	if got := executions(cold); got != 8 {
 		t.Fatalf("cold run executed %d cells, want 8", got)
+	}
+	// The caller's tracer carries the whole tree: sweep → cell → trial.
+	sweepID, _ := cold.ByName("sweep.start")[0].Fields["span_id"].(string)
+	cellIDs := map[string]bool{}
+	for _, e := range cold.ByName("sweep.cell.start") {
+		if e.Fields["parent_id"] != sweepID {
+			t.Errorf("sweep.cell.start parent_id = %v, want the sweep span %q", e.Fields["parent_id"], sweepID)
+		}
+		id, _ := e.Fields["span_id"].(string)
+		cellIDs[id] = true
+	}
+	trials := cold.ByName("trial.done")
+	if len(trials) != 16 { // 8 cells × 2 trials
+		t.Errorf("got %d trial.done events, want 16", len(trials))
+	}
+	for _, e := range trials {
+		if pid, _ := e.Fields["parent_id"].(string); !cellIDs[pid] {
+			t.Errorf("trial.done parent_id %q is not a cell span", pid)
+		}
 	}
 
 	warm := obs.NewMemory()
@@ -179,25 +196,6 @@ func TestWorkerCountInvariance(t *testing.T) {
 				t.Errorf("workers=%d: cell %d differs from sequential", w, i)
 			}
 		}
-	}
-}
-
-func TestJournalRecordsProgress(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := Run(twoByTwo(), Options{OutDir: dir, Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Count(data, []byte("\n"))
-	// sweep.start + 8 × (sweep.cell.start + sweep.cell.done) + sweep.done
-	if lines != 18 {
-		t.Errorf("journal lines = %d, want 18\n%s", lines, data)
-	}
-	if !bytes.Contains(data, []byte(`"event":"sweep.done"`)) {
-		t.Error("journal missing sweep.done")
 	}
 }
 

@@ -31,9 +31,7 @@ import (
 // journalVersion is the per-shard journal line schema version.
 const journalVersion = 1
 
-// ShardJournalName returns the journal filename of one shard. (The
-// unsharded engine's "journal.jsonl" is a different artifact — the obs
-// trace-event checkpoint stream — and is ignored by Merge.)
+// ShardJournalName returns the journal filename of one shard.
 func ShardJournalName(shard int) string {
 	return fmt.Sprintf("journal.%d.jsonl", shard)
 }
@@ -74,8 +72,8 @@ func (r cellRecord) valid() bool {
 }
 
 // shardJournal is the engine's append-only per-shard record writer. Safe
-// for concurrent use by the cell workers. Like the obs journal, the first
-// write error latches and fails the sweep at close.
+// for concurrent use by the cell workers. The first write error latches
+// and fails the sweep at close.
 type shardJournal struct {
 	mu  sync.Mutex
 	f   *os.File

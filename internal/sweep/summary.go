@@ -60,7 +60,7 @@ type Point struct {
 
 // Curve is one algorithm's trajectory along one scenario axis.
 type Curve struct {
-	Algorithm string  `json:"algorithm"`
+	Algorithm string `json:"algorithm"`
 	// Axis is the swept scenario field: "anchor_frac" or "noise_frac".
 	Axis   string  `json:"axis"`
 	Points []Point `json:"points"`

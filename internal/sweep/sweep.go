@@ -12,7 +12,8 @@
 //
 //	out/
 //	  objects/<hh>/<hash>.json   one cached cell result (a castore object)
-//	  journal.jsonl              JSONL checkpoint stream of sweep.* events
+//	  journal.<I>.jsonl          shard I's cell records (sharded runs, see Merge)
+//	  leases/shard.<I>.lease     shard I's crash-safe lease (sharded runs)
 //	  summary.json               merged curves (written by the CLI)
 //
 // The cache key is SHA-256 over a domain string carrying EngineVersion, the

@@ -260,7 +260,7 @@ func SpecHash(sp Spec) (string, error) { return sp.Hash() }
 // SweepSpec declares one experiment grid. See internal/sweep.Spec.
 type SweepSpec = sweep.Spec
 
-// SweepOptions tunes a sweep execution: output directory (cache + journal),
+// SweepOptions tunes a sweep execution: output directory (the cell cache),
 // worker count, resume behavior, tracer.
 type SweepOptions = sweep.Options
 
@@ -286,8 +286,8 @@ func RunSweep(sw SweepSpec, opts SweepOptions) (*SweepResult, error) {
 }
 
 // RunSweepCtx expands the sweep into cells and executes them bounded by
-// ctx. Every finished cell is cached and journaled before the next starts,
-// so a cancel loses at most the in-flight cells; re-running with
+// ctx. Every finished cell is cached before the next starts, so a cancel
+// loses at most the in-flight cells; re-running with
 // opts.Resume against the same OutDir re-runs zero completed cells.
 func RunSweepCtx(ctx context.Context, sw SweepSpec, opts SweepOptions) (*SweepResult, error) {
 	return sweep.RunCtx(ctx, sw, opts)
