@@ -12,8 +12,9 @@ import (
 // pinnedSolves pins the SHA-256 of EncodeSolveResponse bytes for solves
 // beyond the sweep golden's default scenarios: the canonical network under
 // several seeds, the irregular propagation models, loss and jitter, refine
-// on a non-convex field, the scale knobs at N=1000, the forced FFT path and
-// a coarse grid. Performance work on the BP engine must leave every one of
+// on a non-convex field, the scale knobs at N=1000 and N=2000, the forced FFT
+// path, a coarse grid, and support-pruned runs on several shapes.
+// Performance work on the BP engine must leave every one of
 // these answers byte-identical; a deliberate change to the algorithm's
 // arithmetic regenerates the table (the failure message prints each new
 // digest). Shadowing is left out: its negative-evidence curve is not part of
@@ -53,6 +54,29 @@ var pinnedSolves = []struct {
 		"fcf60bd70d11cbc6b790471b05215c19c3f6e50b31981e292ea865cabacca171"},
 	{"grid-8", alg.Spec{Scenario: alg.Scenario{Seed: 23}, AlgOpts: alg.Opts{GridN: 8}, Seed: 24},
 		"85bdec503261e839e7b506ca2d391c1144e22830eed97968d2bbd2f7200bba79"},
+	// Window-local beliefs: pruning zeroes most of a node's prior, so every
+	// BP pass runs on the prior's nonzero bounding box. These pin the
+	// windows' edge cases: narrow and wide windows, the small serve-mix
+	// network with and without pruning, region holes, both convolution
+	// paths, refinement, loss, and windows that touch every grid edge.
+	{"prune-0.05", alg.Spec{Scenario: alg.Scenario{Seed: 25}, AlgOpts: alg.Opts{Prune: 0.05}, Seed: 26},
+		"bce83f39b9e93bd73b17bc82c0bf8c9e26c953c7a66a222e4cb3cc814119895d"},
+	{"prune-1e-3", alg.Spec{Scenario: alg.Scenario{Seed: 27}, AlgOpts: alg.Opts{Prune: 1e-3}, Seed: 28},
+		"fcf5af7d8bc21a97eae84b8af68dfebef4d3854b8c0c21c6d522bdc73fd2c081"},
+	{"mix-small", alg.Spec{Scenario: alg.Scenario{N: 40, Field: 52, Seed: 29}, AlgOpts: alg.Opts{GridN: 8}, Seed: 30},
+		"9b0d56c9b6adc7458b0a532f57395c6eddb39fdb3157768d70e7f5f19b5fd619"},
+	{"mix-small-prune", alg.Spec{Scenario: alg.Scenario{N: 40, Field: 52, Seed: 31}, AlgOpts: alg.Opts{GridN: 8, Prune: 0.05}, Seed: 32},
+		"9b71de3c33fc59407126711ba86d5be1cfa5714d8a2d3810fae325802a3c8bad"},
+	{"cshape-prune", alg.Spec{Scenario: alg.Scenario{Shape: "c", Seed: 33}, AlgOpts: alg.Opts{Prune: 0.05}, Seed: 34},
+		"7e53ad564e9500fd4631ba8d126afce8abadbc2e0b4cda11c63007e561c00ac7"},
+	{"prune-fft", alg.Spec{Scenario: alg.Scenario{N: 60, Field: 63, Seed: 35}, AlgOpts: alg.Opts{GridN: 24, Prune: 0.05, Conv: "fft"}, Seed: 36},
+		"4571ab148153bf0f4d6308bb7a3746d1f0288ea45bc4b2eed5bf5407c017cd21"},
+	{"prune-refine", alg.Spec{Scenario: alg.Scenario{Seed: 37}, AlgOpts: alg.Opts{Prune: 0.05, Refine: true}, Seed: 38},
+		"67e5272a06f5633b823d9d7c189765dbb6d719add16cdb32737818acbaba0dd9"},
+	{"prune-loss-jitter", alg.Spec{Scenario: alg.Scenario{Loss: 0.1, Jitter: 0.1, Seed: 39}, AlgOpts: alg.Opts{Prune: 0.05}, Seed: 40},
+		"bceea55c1572bd51d1a464d5f4c1552065b318d366bf5611854cd9f114113d05"},
+	{"censor-prune-2000", alg.Spec{Scenario: alg.Scenario{N: 2000, Field: 365, Seed: 41}, AlgOpts: alg.Opts{Censor: 0.5, Prune: 0.05}, Seed: 42},
+		"e3648009963b38141ae408671acdb3374af7ec2a57f010e66db89236eea66f82"},
 }
 
 // canonical is the paper's 150-node default network under bncl-grid.
