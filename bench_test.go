@@ -104,6 +104,31 @@ func BenchmarkLocalizeCanonical(b *testing.B) {
 	}
 }
 
+// BenchmarkLocalizeScale is the scale-5k workload's solve in-process: a
+// 5000-node network at the canonical density (577 m field) under bncl-grid
+// with message censoring 0.5 and support pruning 0.05, on the default worker
+// count. Its profile shows where a large censored and pruned solve spends
+// its time and memory:
+//
+//	go test -run '^$' -bench LocalizeScale -benchmem -cpuprofile cpu.out .
+func BenchmarkLocalizeScale(b *testing.B) {
+	p, err := wsnloc.Scenario{N: 5000, Field: 577, Seed: 1}.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	alg, err := wsnloc.NewAlgorithm("bncl-grid", wsnloc.AlgOpts{Censor: 0.5, Prune: 0.05})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wsnloc.Localize(p, alg, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchBNCLGridTraced measures the BNCL solve with a tracer attached, so the
 // no-op case can be compared against BenchmarkLocalizeBNCLGrid: the
 // observability layer must stay within noise (~2%) when disabled.

@@ -43,7 +43,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	fs := flag.NewFlagSet("wsnloc-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		id      = fs.String("e", "all", "experiment id (E1..E12) or 'all'")
+		id      = fs.String("e", "all", "experiment id (E1..E15) or 'all'")
 		full    = fs.Bool("full", false, "paper-scale quality (8 trials, full sizes)")
 		trials  = fs.Int("trials", 0, "override Monte-Carlo trials")
 		scale   = fs.Float64("scale", 0, "override network-size scale (1.0 = paper scale)")

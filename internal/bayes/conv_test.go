@@ -21,7 +21,7 @@ func scatterReference(k *RadialKernel, dst, src *Belief, support []int) []int {
 	}
 	support = src.AppendSupport(support[:0], SupportEps)
 	for _, sIdx := range support {
-		ws := src.W[sIdx]
+		ws := src.At(sIdx)
 		si, sj := g.Coords(sIdx)
 		for _, o := range k.offs {
 			ti := si + o.di
@@ -70,10 +70,10 @@ func TestCompiledScatterBitIdentical(t *testing.T) {
 			want := &Belief{Grid: g, W: make([]float64, g.Cells())}
 			k.ConvolveInto(got, src, nil)
 			scatterReference(k, want, src, nil)
-			for i := range got.W {
-				if got.W[i] != want.W[i] {
+			for i := range want.W {
+				if got.At(i) != want.W[i] {
 					t.Fatalf("n=%d trial %d: cell %d differs: %v vs %v (bit-level)",
-						n, trial, i, got.W[i], want.W[i])
+						n, trial, i, got.At(i), want.W[i])
 				}
 			}
 		}
@@ -83,8 +83,8 @@ func TestCompiledScatterBitIdentical(t *testing.T) {
 		want := &Belief{Grid: g, W: make([]float64, g.Cells())}
 		k.ConvolveInto(got, src, nil)
 		scatterReference(k, want, src, nil)
-		for i := range got.W {
-			if got.W[i] != want.W[i] {
+		for i := range want.W {
+			if got.At(i) != want.W[i] {
 				t.Fatalf("n=%d border delta: cell %d differs", n, i)
 			}
 		}

@@ -146,21 +146,26 @@ func (k *RadialKernel) Size() int { return len(k.offs) }
 // Runs returns the number of compiled contiguous rows (diagnostics and tests).
 func (k *RadialKernel) Runs() int { return len(k.runs) }
 
-// Convolve computes the unnormalized message m = k ⊗ src. The source belief
-// must live on the kernel's grid. The result is NOT normalized — messages
-// multiply into beliefs that get renormalized afterwards.
+// Convolve computes the unnormalized message m = k ⊗ src on the sparse path
+// (see ConvolveInto for its window). The source belief must live on the
+// kernel's grid. The result is NOT normalized — messages multiply into
+// beliefs that get renormalized afterwards.
 func (k *RadialKernel) Convolve(src *Belief) *Belief {
-	out := &Belief{Grid: k.grid, W: make([]float64, k.grid.Cells())}
-	k.ConvolveInto(out, src, nil)
+	k.checkSrc(src)
+	support := src.Support(SupportEps)
+	out := NewZero(k.grid, k.messageWindow(src, support))
+	k.scatter(out, src, support)
 	return out
 }
 
 // ConvolveInto computes the unnormalized message k ⊗ src into dst on the
-// sparse path, reusing dst's weight buffer. support is an optional scratch
-// slice for the source support scan; the (possibly grown) slice is returned
-// so steady-state BP rounds convolve without any allocation. dst must live on
-// the kernel's grid, must not alias src, and both weight buffers must be
-// non-empty.
+// sparse path. dst is re-windowed to the message's extent — the source
+// support's bounding box grown by the kernel — reusing its weight buffer
+// when that is large enough; the message is exactly zero outside it.
+// support is an optional scratch slice for the source support scan; the
+// (possibly grown) slice is returned so steady-state BP rounds convolve
+// without any allocation. dst must live on the kernel's grid, must not
+// alias src, and both weight buffers must be non-empty.
 func (k *RadialKernel) ConvolveInto(dst, src *Belief, support []int) []int {
 	support = src.AppendSupport(support[:0], SupportEps)
 	k.convolveSupport(dst, src, support)
@@ -170,16 +175,48 @@ func (k *RadialKernel) ConvolveInto(dst, src *Belief, support []int) []int {
 // convolveSupport is the sparse path over a precomputed source support.
 func (k *RadialKernel) convolveSupport(dst, src *Belief, support []int) {
 	k.checkPair(dst, src)
+	dst.reshape(k.messageWindow(src, support))
 	clear(dst.W)
 	k.scatter(dst, src, support)
 }
 
-// checkPair validates the grid/buffer invariants shared by both paths.
-func (k *RadialKernel) checkPair(dst, src *Belief) {
-	if src.Grid != k.grid || dst.Grid != k.grid {
+// messageWindow is the extent of the sparse message from support (ascending
+// flat indices, as Support returns them): the support's bounding box grown
+// by the kernel's offsets and clipped to the grid. A radial kernel's offsets
+// are symmetric, so the box always survives the growth. An empty support
+// sends an all-zero message, kept on the source's window.
+func (k *RadialKernel) messageWindow(src *Belief, support []int) Window {
+	if len(support) == 0 {
+		return src.Window()
+	}
+	nx := k.grid.NX
+	i0, i1 := nx, -1
+	for _, idx := range support {
+		i := idx % nx
+		i0, i1 = min(i0, i), max(i1, i)
+	}
+	j0, j1 := support[0]/nx, support[len(support)-1]/nx
+	return spanWindow(max(i0+k.minDi, 0), max(j0+k.minDj, 0),
+		min(i1+k.maxDi, nx-1), min(j1+k.maxDj, k.grid.NY-1))
+}
+
+// checkSrc validates a source belief: on the kernel's grid, with weights.
+func (k *RadialKernel) checkSrc(src *Belief) {
+	if src.Grid != k.grid {
 		panic("bayes: Convolve across different grids")
 	}
-	if len(dst.W) == 0 || len(src.W) == 0 {
+	if len(src.W) == 0 {
+		panic("bayes: Convolve on a belief with an empty weight buffer")
+	}
+}
+
+// checkPair validates the grid/buffer invariants shared by both paths.
+func (k *RadialKernel) checkPair(dst, src *Belief) {
+	k.checkSrc(src)
+	if dst.Grid != k.grid {
+		panic("bayes: Convolve across different grids")
+	}
+	if len(dst.W) == 0 {
 		panic("bayes: Convolve on a belief with an empty weight buffer")
 	}
 	if &dst.W[0] == &src.W[0] {
@@ -187,20 +224,22 @@ func (k *RadialKernel) checkPair(dst, src *Belief) {
 	}
 }
 
-// scatter accumulates the kernel rows of every support cell into dst. Interior
-// sources skip clipping entirely; border sources clip each run to the grid.
-// The accumulation order matches the historical per-offset scatter exactly,
-// so results are bit-for-bit reproducible across both implementations and
-// every worker count.
+// scatter accumulates the kernel rows of every support cell into dst, whose
+// window must hold the support grown by the kernel (clipped to the grid).
+// Interior sources skip clipping entirely; border sources clip each run to
+// the grid. The accumulation order matches the historical per-offset
+// scatter exactly, so results are bit-for-bit reproducible across both
+// implementations and every worker count.
 func (k *RadialKernel) scatter(dst, src *Belief, support []int) {
 	g := k.grid
 	nx, ny := g.NX, g.NY
+	sw, dw := src.Window(), dst.Window()
 	for _, sIdx := range support {
-		ws := src.W[sIdx]
 		si, sj := sIdx%nx, sIdx/nx
+		ws := src.W[sw.local(si, sj)]
 		if si+k.minDi >= 0 && si+k.maxDi < nx && sj+k.minDj >= 0 && sj+k.maxDj < ny {
 			for _, run := range k.runs {
-				row := dst.W[(sj+run.dj)*nx+si+run.di0:]
+				row := dst.W[dw.local(si+run.di0, sj+run.dj):]
 				row = row[:len(run.w)]
 				for i, wv := range run.w {
 					row[i] += ws * wv
@@ -224,7 +263,7 @@ func (k *RadialKernel) scatter(dst, src *Belief, support []int) {
 			if lo >= hi {
 				continue
 			}
-			row := dst.W[tj*nx+ti0+lo : tj*nx+ti0+hi]
+			row := dst.W[dw.local(ti0+lo, tj):][:hi-lo]
 			wr := run.w[lo:hi]
 			for i, wv := range wr {
 				row[i] += ws * wv

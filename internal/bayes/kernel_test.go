@@ -29,17 +29,17 @@ func TestKernelRingFromDelta(t *testing.T) {
 	}
 	// Expected distance from center ≈ d0.
 	expDist := 0.0
-	for idx, w := range msg.W {
-		expDist += w * msg.Grid.CenterIdx(idx).Dist(center)
+	for idx := 0; idx < g.Cells(); idx++ {
+		expDist += msg.At(idx) * g.CenterIdx(idx).Dist(center)
 	}
 	if math.Abs(expDist-d0) > 1.0 {
 		t.Errorf("mean ring radius = %v, want %v", expDist, d0)
 	}
 	// Mass near the center must be negligible.
 	nearMass := 0.0
-	for idx, w := range msg.W {
-		if msg.Grid.CenterIdx(idx).Dist(center) < d0/2 {
-			nearMass += w
+	for idx := 0; idx < g.Cells(); idx++ {
+		if g.CenterIdx(idx).Dist(center) < d0/2 {
+			nearMass += msg.At(idx)
 		}
 	}
 	if nearMass > 1e-6 {

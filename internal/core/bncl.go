@@ -245,6 +245,11 @@ type env struct {
 	// timeConv enables per-convolution timing — only when a tracer consumes
 	// it, so the untraced hot path never calls the clock.
 	timeConv bool
+	// anchorDist[a] is anchor a's distance table on grid (see distTable),
+	// shared read-only by every grid node's prior; nil for non-anchors. The
+	// priors are built in BP's first round, after which the tables are
+	// dropped.
+	anchorDist [][]float64
 	// trace is the deterministic node-id-order reduction of nodeTrace,
 	// computed once after the run.
 	trace []roundTrace
@@ -292,6 +297,14 @@ func (b *BNCL) LocalizeCtx(ctx context.Context, p *Problem, stream *rng.Stream) 
 		if cfg.Conv != bayes.ConvSparse {
 			e.kernels.prewarmSpectra()
 		}
+		if cfg.PK.UseHopAnnuli {
+			e.anchorDist = make([][]float64, p.Deploy.N())
+			for i, pos := range p.Deploy.Pos {
+				if p.Deploy.Anchor[i] {
+					e.anchorDist[i] = distTable(e.grid, pos)
+				}
+			}
+		}
 	}
 	for i := range e.nodeStreams {
 		e.nodeStreams[i] = stream.Split(uint64(i) + 1)
@@ -323,8 +336,14 @@ func (b *BNCL) LocalizeCtx(ctx context.Context, p *Problem, stream *rng.Stream) 
 		Seed:        stream.Uint64(),
 	}
 	rt := newRunTrace(cfg.Tracer, b, p, e)
-	if rt != nil {
-		simCfg.OnRound = rt.onRound
+	simCfg.OnRound = func(round int, stats sim.Stats) {
+		if round == cfg.HopRounds {
+			// Every grid node built its prior in this round.
+			e.anchorDist = nil
+		}
+		if rt != nil {
+			rt.onRound(round, stats)
+		}
 	}
 	net, err := sim.NewNetwork(p.Graph, programs, simCfg)
 	if err != nil {
@@ -372,6 +391,9 @@ func (b *BNCL) LocalizeCtx(ctx context.Context, p *Problem, stream *rng.Stream) 
 	}
 	return res, nil
 }
+
+// anchorDistOf returns ah's anchor distance table on the run's grid.
+func (e *env) anchorDistOf(ah anchorHop) []float64 { return e.anchorDist[ah.id] }
 
 // hopBounds returns the per-hop distance bounds for the annulus priors: the
 // upper bound is the longest link the propagation model can form, the soft

@@ -125,7 +125,7 @@ func TestBuildPriorRespectsRegionAndAnnuli(t *testing.T) {
 	region := geom.OShape(geom.NewRect(0, 0, 100, 100))
 	pk := AllPreKnowledge()
 	hops := []anchorHop{{pos: mathx.V2(10, 50), hops: 1}}
-	prior := pk.buildPrior(g, region, hops, 20, 10)
+	prior := pk.buildPrior(g, region, hops, 20, 10, nil)
 	if !mathx.AlmostEqual(prior.Mass(), 1, 1e-9) {
 		t.Fatal("prior not normalized")
 	}
@@ -158,7 +158,7 @@ func TestBuildPriorFallsBackOnContradiction(t *testing.T) {
 		{pos: mathx.V2(5, 5), hops: 1},
 		{pos: mathx.V2(95, 95), hops: 1},
 	}
-	prior := pk.buildPrior(g, geom.NewRect(0, 0, 100, 100), hops, 20, 10)
+	prior := pk.buildPrior(g, geom.NewRect(0, 0, 100, 100), hops, 20, 10, nil)
 	if !mathx.AlmostEqual(prior.Mass(), 1, 1e-9) {
 		t.Fatal("contradictory prior not recovered")
 	}
@@ -166,7 +166,7 @@ func TestBuildPriorFallsBackOnContradiction(t *testing.T) {
 
 func TestBuildPriorNoPK(t *testing.T) {
 	g := geom.NewGrid(geom.NewRect(0, 0, 100, 100), 10, 10)
-	prior := NoPreKnowledge().buildPrior(g, geom.OShape(geom.NewRect(0, 0, 100, 100)), nil, 20, 10)
+	prior := NoPreKnowledge().buildPrior(g, geom.OShape(geom.NewRect(0, 0, 100, 100)), nil, 20, 10, nil)
 	// Without pre-knowledge the prior must be uniform, hole included.
 	u := 1.0 / 100
 	for _, w := range prior.W {
@@ -182,13 +182,13 @@ func TestBuildPriorDeployDensity(t *testing.T) {
 		UseRegion:     true,
 		DeployDensity: func(p mathx.Vec2) float64 { return p.X }, // heavier to the east
 	}
-	prior := pk.buildPrior(g, geom.NewRect(0, 0, 100, 100), nil, 20, 10)
+	prior := pk.buildPrior(g, geom.NewRect(0, 0, 100, 100), nil, 20, 10, nil)
 	if m := prior.Mean(); m.X <= 55 {
 		t.Errorf("density prior mean = %v, want east of center", m)
 	}
 	// Density-only (no region) path.
 	pk2 := PreKnowledge{DeployDensity: func(p mathx.Vec2) float64 { return p.Y }}
-	prior2 := pk2.buildPrior(g, nil, nil, 20, 10)
+	prior2 := pk2.buildPrior(g, nil, nil, 20, 10, nil)
 	if m := prior2.Mean(); m.Y <= 55 {
 		t.Errorf("region-free density prior mean = %v", m)
 	}

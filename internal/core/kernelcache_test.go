@@ -83,9 +83,9 @@ func TestKernelCacheHopRangerWidens(t *testing.T) {
 			t.Fatal("empty message")
 		}
 		m := 0.0
-		for idx, w := range msg.W {
+		for idx := 0; idx < g.Cells(); idx++ {
 			if g.CenterIdx(idx).Dist(center) < 0.25*p.R {
-				m += w
+				m += msg.At(idx)
 			}
 		}
 		return m

@@ -85,11 +85,22 @@ func selectAnnuli(sorted []anchorHop, budget int) []anchorHop {
 	return out
 }
 
-// anchorHop is one entry of a node's hop table: the position of an anchor
-// and the hop distance to it.
+// anchorHop is one entry of a node's hop table: the id and position of an
+// anchor and the hop distance to it.
 type anchorHop struct {
+	id   int
 	pos  mathx.Vec2
 	hops int
+}
+
+// distTable returns the distance from every cell center of g to p, indexed
+// by flat cell index — the argument of p's annulus factors on g.
+func distTable(g *geom.Grid, p mathx.Vec2) []float64 {
+	d := make([]float64, g.Cells())
+	for idx := range d {
+		d[idx] = g.CenterIdx(idx).Dist(p)
+	}
+	return d
 }
 
 // buildPrior assembles the unary prior belief for one unknown node on g:
@@ -102,7 +113,12 @@ type anchorHop struct {
 // model can form (Propagation.MaxRange), NOT the median range — under
 // shadowing, links longer than R exist and a bound of h·R would contradict
 // the evidence. rLo is the per-hop soft lower bound (gamma·R).
-func (pk PreKnowledge) buildPrior(g *geom.Grid, region geom.Region, hopTable []anchorHop, rUp, rLo float64) *bayes.Belief {
+//
+// dist returns an anchor's distance table on g (see distTable), so tables
+// built once per run are shared by every node; nil builds them per call.
+// The prior spans the whole grid: each annulus is normalized over every
+// cell.
+func (pk PreKnowledge) buildPrior(g *geom.Grid, region geom.Region, hopTable []anchorHop, rUp, rLo float64, dist func(anchorHop) []float64) *bayes.Belief {
 	prior := bayes.NewUniform(g)
 	if pk.UseRegion && region != nil {
 		prior.MulFunc(func(p mathx.Vec2) float64 {
@@ -127,7 +143,13 @@ func (pk PreKnowledge) buildPrior(g *geom.Grid, region geom.Region, hopTable []a
 	if pk.UseHopAnnuli && len(hopTable) > 0 {
 		regionPrior := prior.Clone()
 		for _, ah := range selectAnnuli(hopTable, pk.maxAnnuli()) {
-			prior.MulFunc(annulusFactor(ah.pos, ah.hops, rUp, rLo))
+			var d []float64
+			if dist != nil {
+				d = dist(ah)
+			} else {
+				d = distTable(g, ah.pos)
+			}
+			prior.MulFuncOf(d, annulusOfDist(ah.hops, rUp, rLo))
 			if !prior.Normalize() {
 				// Inconsistent hop info: drop annuli, keep region prior.
 				prior = regionPrior
@@ -144,11 +166,16 @@ func (pk PreKnowledge) buildPrior(g *geom.Grid, region geom.Region, hopTable []a
 // lower bound soft (greedy floods can make slow progress). Edges are
 // smoothed over 10% of rUp so grid aliasing does not carve the posterior.
 func annulusFactor(a mathx.Vec2, hops int, rUp, rLo float64) func(mathx.Vec2) float64 {
+	f := annulusOfDist(hops, rUp, rLo)
+	return func(x mathx.Vec2) float64 { return f(x.Dist(a)) }
+}
+
+// annulusOfDist is annulusFactor as a function of the distance d = ‖x−a‖.
+func annulusOfDist(hops int, rUp, rLo float64) func(float64) float64 {
 	upper := float64(hops) * rUp
 	lower := float64(hops-1) * rLo
 	soft := 0.1 * rUp
-	return func(x mathx.Vec2) float64 {
-		d := x.Dist(a)
+	return func(d float64) float64 {
 		// Hard-ish upper bound with smoothed edge.
 		var up float64
 		switch {

@@ -112,9 +112,9 @@ func TestTrackerRegionPriorConstrains(t *testing.T) {
 	}
 	b := tr.Belief()
 	outMass := 0.0
-	for idx, w := range b.W {
+	for idx := 0; idx < b.Grid.Cells(); idx++ {
 		if !region.Contains(b.Grid.CenterIdx(idx)) {
-			outMass += w
+			outMass += b.At(idx)
 		}
 	}
 	if outMass > 1e-9 {

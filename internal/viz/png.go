@@ -120,7 +120,7 @@ func WriteHeatmapPNG(w io.Writer, b *bayes.Belief, width int) error {
 			wy := gb.Min.Y + (1-float64(py)/float64(height-1))*gb.Height()
 			v := 0.0
 			if maxW > 0 {
-				v = math.Sqrt(b.W[g.IndexOf(mathx.V2(wx, wy))] / maxW)
+				v = math.Sqrt(b.At(g.IndexOf(mathx.V2(wx, wy))) / maxW)
 			}
 			shade := uint8(255 - 230*mathx.Clamp(v, 0, 1))
 			img.SetRGBA(px, py, color.RGBA{shade, shade, 255, 255})

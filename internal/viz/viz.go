@@ -154,7 +154,8 @@ func Heatmap(b *bayes.Belief, width int) string {
 	// Aggregate grid cells into canvas cells by max, so narrow peaks are
 	// never lost to undersampling when the canvas is coarser than the grid.
 	agg := make([]float64, c.w*c.h)
-	for idx, w := range b.W {
+	for idx := 0; idx < g.Cells(); idx++ {
+		w := b.At(idx)
 		col, row, ok := c.at(g.CenterIdx(idx))
 		if !ok {
 			continue
